@@ -452,6 +452,7 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
     halving_tol = 1e-8 if halving_tol is None else halving_tol
 
     coarse = _integrate_dense(scenario, rho0.entries, t_end, steps)
+    err = math.inf
     for _ in range(max_refine):
         fine = _integrate_dense(scenario, rho0.entries, t_end, 2 * steps)
         scale = max(float(np.abs(fine).max()), 1.0)

@@ -1,7 +1,7 @@
 """Batched trajectory propagation engine.
 
 The collapse propagator for one step is exp(-(dt/4 lam) (w_k - 2 lam A(m_k))^2)
-with A(m_k) the coupling rotated to the step midpoint.  Two identities make
+with A(m_k) the coupling rotated to the step midpoint.  Three identities make
 the evolution cheap and stable:
 
 * The step factor splits exactly into a scalar Gaussian factor
@@ -12,14 +12,24 @@ the evolution cheap and stable:
   log space.
 * Successive midpoint frames differ by the constant rotation exp(-iH dt),
   so a whole trajectory is: enter the first midpoint eigenframe of the
-  coupling once, then alternate a fixed frame-transfer with a diagonal
-  collapse factor, and leave the frame once at the end.
+  coupling once, then alternate a diagonal collapse factor with a fixed
+  frame-transfer G, and leave the frame once at the end.
+* With W the A-frame form of exp(+iH dt/2), the cooked drift of step k+1
+  is <A> in the pre-step frame, <G c_k| W^dag A W |G c_k>, and W G = W^dag
+  turns it into <c_k| W A W^dag |c_k>: the post-step <A> of step k.  One
+  evaluation after each step therefore serves both the next drift and
+  the <A> series.
 
-A backend supplies the frame operations.  ``SpectralBackend`` works for
+A backend supplies the frame operations.  Its ``advance`` method maps a
+post-step state to the next pre-step state and returns the post-step <A>
+(and <H> on request) from the same work.  ``SpectralBackend`` works for
 any dense pair (H, A) via their eigendecompositions; ``GridBackend``
 specializes the position-coupled particle on a periodic grid, where the
 transfer is a Fourier multiplier and the coupling is diagonal on the grid,
-so no dense matrix ever appears in the hot loop.
+so no dense matrix ever appears in the hot loop.  On the grid one forward
+transform F of c_k per step serves the transfer ifft(F phase_full), the
+position density |ifft(F phase_half)|^2 behind <A>, and <H> from |F|^2:
+three transforms per step, computed in place.
 
 All randomness is injected by the caller as pre-drawn standardized
 increments, which keeps results independent of batching.
@@ -98,14 +108,18 @@ class SpectralBackend:
         self._g = (p * phase_full) @ p.conj().T
         w = (p * phase_half.conj()) @ p.conj().T  # A-frame form of exp(+iH dt/2)
         self._w = w
-        a = self.coupling_values
-        self._a_plus = (w * a) @ w.conj().T
-        self._a_plus2 = (w * a**2) @ w.conj().T
-        self._a_minus = (w.conj().T * a) @ w
+        self._a_plus = (w * self.coupling_values) @ w.conj().T
         self._h_tilde = (p * spec_h.eigenvalues) @ p.conj().T
 
-    def to_internal(self, psi: np.ndarray) -> np.ndarray:
-        return self._w.conj().T @ (self._va.conj().T @ psi)
+    def enter(self, psi: np.ndarray) -> tuple:
+        """Internal state of the lab state ``psi`` before the first step,
+        with the <A> and <H> of ``psi``."""
+        q = self._va.conj().T @ psi
+        pops = q.real**2 + q.imag**2
+        n2 = float(pops.sum())
+        mean_a = float(pops @ self.coupling_values) / n2
+        mean_h = float((q.conj() @ (self._h_tilde @ q)).real) / n2
+        return self._w.conj().T @ q, mean_a, mean_h
 
     def to_schrodinger(self, c: np.ndarray) -> np.ndarray:
         """Map internal coefficients after the last step to the lab frame
@@ -127,17 +141,19 @@ class SpectralBackend:
     def _expect(c: np.ndarray, m: np.ndarray) -> np.ndarray:
         return np.einsum("bi,bi->b", c.conj(), c @ m.T).real
 
-    def expect_coupling_pre(self, c: np.ndarray) -> np.ndarray:
-        return self._expect(c, self._a_minus)
+    def advance(self, c: np.ndarray, *, transfer: bool = True, coupling: bool = True,
+                energy: bool = False) -> tuple:
+        """Post-step moments of ``c`` and, if ``transfer``, the next pre-step
+        state.
 
-    def expect_coupling_post(self, c: np.ndarray) -> np.ndarray:
-        return self._expect(c, self._a_plus)
-
-    def expect_coupling2_post(self, c: np.ndarray) -> np.ndarray:
-        return self._expect(c, self._a_plus2)
-
-    def expect_hamiltonian(self, c: np.ndarray) -> np.ndarray:
-        return self._expect(c, self._h_tilde)
+        Returns ``(state, mean_a, mean_h)``: ``state`` is ``c`` transferred
+        to the next step's frame (``c`` itself when ``transfer`` is false),
+        ``mean_a`` the post-step <A> when ``coupling`` is set and ``mean_h``
+        the <H> when ``energy`` is set; moments not asked for are None.
+        """
+        mean_a = self._expect(c, self._a_plus) if coupling else None
+        mean_h = self._expect(c, self._h_tilde) if energy else None
+        return (self.transfer(c) if transfer else c), mean_a, mean_h
 
     def pair_coupling_post(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.einsum("bi,bi->b", y.conj(), c @ self._a_plus.T)
@@ -156,10 +172,19 @@ class GridBackend:
         self._phase_half = np.exp(-1j * e * (0.5 * dt) / hbar)
 
     def _kinetic(self, c: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(c, axis=-1) * phase, axis=-1)
+        f = np.fft.fft(c, axis=-1)
+        f *= phase
+        return np.fft.ifft(f, axis=-1, out=f)
 
-    def to_internal(self, psi: np.ndarray) -> np.ndarray:
-        return self._kinetic(psi, self._phase_half)
+    def enter(self, psi: np.ndarray) -> tuple:
+        """Internal state of the lab state ``psi`` before the first step,
+        with the <A> and <H> of ``psi``."""
+        f = np.fft.fft(psi, axis=-1)
+        pops = psi.real**2 + psi.imag**2
+        n2 = float(pops.sum())
+        mean_a = float(pops @ self.coupling_values) / n2
+        mean_h = float((f.real**2 + f.imag**2) @ self._energies) / (self.dim * n2)
+        return np.fft.ifft(f * self._phase_half, axis=-1), mean_a, mean_h
 
     def to_schrodinger(self, c: np.ndarray) -> np.ndarray:
         return self._kinetic(c, self._phase_half)
@@ -173,29 +198,39 @@ class GridBackend:
     def transfer_adjoint(self, c: np.ndarray) -> np.ndarray:
         return self._kinetic(c, self._phase_full.conj())
 
-    def _weighted_density(self, c: np.ndarray, phase: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        shifted = self._kinetic(c, phase)
-        dens = shifted.real**2 + shifted.imag**2
-        return dens @ weights
+    def advance(self, c: np.ndarray, *, transfer: bool = True, coupling: bool = True,
+                energy: bool = False) -> tuple:
+        """Same contract as :meth:`SpectralBackend.advance`, from one forward
+        transform F of ``c``: the transfer is ifft(F phase_full), <A> is read
+        from the density of ifft(F phase_half) and <H> from |F|^2.
 
-    def expect_coupling_pre(self, c: np.ndarray) -> np.ndarray:
-        return self._weighted_density(c, self._phase_half.conj(), self.coupling_values)
-
-    def expect_coupling_post(self, c: np.ndarray) -> np.ndarray:
-        return self._weighted_density(c, self._phase_half, self.coupling_values)
-
-    def expect_coupling2_post(self, c: np.ndarray) -> np.ndarray:
-        return self._weighted_density(c, self._phase_half, self.coupling_values**2)
-
-    def expect_hamiltonian(self, c: np.ndarray) -> np.ndarray:
-        ct = np.fft.fft(c, axis=-1)
-        dens = ct.real**2 + ct.imag**2
-        return (dens @ self._energies) / self.dim
+        With ``transfer`` set, ``c`` is overwritten (it holds F and then the
+        transferred state, which is returned).
+        """
+        f = np.fft.fft(c, axis=-1, out=c if transfer else None)
+        mean_a = mean_h = dens = None
+        if coupling:
+            shifted = f * self._phase_half
+            dens = _abs2(np.fft.ifft(shifted, axis=-1, out=shifted))
+            mean_a = dens @ self.coupling_values
+        if energy:
+            mean_h = (_abs2(f, out=dens) @ self._energies) / self.dim
+        if not transfer:
+            return c, mean_a, mean_h
+        f *= self._phase_full
+        return np.fft.ifft(f, axis=-1, out=f), mean_a, mean_h
 
     def pair_coupling_post(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
         ys = self._kinetic(y, self._phase_half)
         cs = self._kinetic(c, self._phase_half)
         return np.einsum("bi,bi->b", ys.conj(), cs * self.coupling_values)
+
+
+def _abs2(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """re(z)^2 + im(z)^2, written into ``out`` when given."""
+    out = np.square(z.real, out=out)
+    out += np.square(z.imag)
+    return out
 
 
 def make_backend(scenario, dt: float):
@@ -225,7 +260,6 @@ class BatchResult:
     states: Optional[np.ndarray] = None           # (B, n_stored, d) normalized
     stored_steps: Optional[np.ndarray] = None     # (n_stored,) step indices
     series_expA: Optional[np.ndarray] = None      # (B, S+1)
-    series_varA: Optional[np.ndarray] = None      # (B, S+1)
     series_expH: Optional[np.ndarray] = None      # (B, S+1)
 
 
@@ -245,12 +279,25 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         the raw draws here)
     increments : (B, S) standardized zero-mean draws, cooked mode only
     given_w : (B, S) field values, raw/given mode only
-    record_series : record per-step coupling mean/variance and <H>
+    record_series : record per-step coupling mean and <H>
     store_every : if > 0, store every ``store_every``-th normalized state
         (plus the initial and final one) for later reverse sweeps
 
     Notes
     -----
+    Each step applies the diagonal collapse factor to the pre-step state
+    and then calls ``backend.advance`` once on the normalized post-step
+    state c_k.  That call returns the state transferred to the next
+    frame together with the post-step <A>, which is both the <A> series
+    entry and, because W G = W^dag, the cooked drift of step k+1; <H>
+    comes from the same call when series are on.  On the grid backend
+    this is one forward FFT of c_k and two inverse ones per step.  The
+    first drift and the t = 0 series entries are the moments of
+    ``psi0`` itself.  The last step is not transferred:
+    ``final_internal`` is the post-step state that
+    ``backend.to_schrodinger`` and ``backend.coupling_coefficients``
+    expect.
+
     Failed rows (exponent overflow or total underflow) are flagged, not
     raised; the ensemble layer decides how many failures are tolerable.
     """
@@ -275,8 +322,10 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     d = backend.dim
     a = backend.coupling_values
     damp = lam * a * a  # the deterministic part of the reduced exponent
+    cooked = mode == "cooked"
 
-    c = np.tile(backend.to_internal(np.asarray(psi0, dtype=np.complex128)), (b, 1))
+    c0, mean_a, mean_h = backend.enter(np.asarray(psi0, dtype=np.complex128))
+    c = np.tile(c0, (b, 1))
     nrm = np.sqrt(np.einsum("bi,bi->b", c.conj(), c).real)
     c /= nrm[:, None]
 
@@ -301,25 +350,15 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
 
     if record_series:
         exp_a = np.empty((b, s + 1))
-        var_a = np.empty((b, s + 1))
         exp_h = np.empty((b, s + 1))
-        exp_a[:, 0] = backend.expect_coupling_pre(c)
-        # Variance at t=0 uses the same frame as the first drift evaluation;
-        # <A^2> in the pre frame equals <A^2> in the post frame of a zero-th
-        # step, so reuse the post accessor after an adjoint transfer is not
-        # needed: the initial state is still untouched by any step.
-        var_a[:, 0] = np.maximum(
-            _expect2_initial(backend, c) - exp_a[:, 0] ** 2, 0.0)
-        exp_h[:, 0] = backend.expect_hamiltonian(c)
+        exp_a[:, 0] = mean_a
+        exp_h[:, 0] = mean_h
     else:
-        exp_a = var_a = exp_h = None
+        exp_a = exp_h = None
 
     for k in range(1, s + 1):
-        if k > 1:
-            c = backend.transfer(c)
-        if mode == "cooked":
-            drift = 2.0 * lam * backend.expect_coupling_pre(c)
-            wk = drift + increments[:, k - 1]
+        if cooked:
+            wk = 2.0 * lam * mean_a + increments[:, k - 1]
         else:
             wk = given_w[:, k - 1]
         w_out[:, k - 1] = wk
@@ -330,7 +369,7 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         if bad.any():
             failed |= bad
             expo[bad] = 0.0
-        c = c * np.exp(expo)
+        c *= np.exp(expo, out=expo)
         n2 = np.einsum("bi,bi->b", c.conj(), c).real
         dead = n2 == 0.0
         if dead.any():
@@ -346,11 +385,14 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
             log_series[:, k] = log_red
         if want_states and k in slot:
             states[:, slot[k], :] = c
-        if record_series:
-            exp_a[:, k] = backend.expect_coupling_post(c)
-            var_a[:, k] = np.maximum(
-                backend.expect_coupling2_post(c) - exp_a[:, k] ** 2, 0.0)
-            exp_h[:, k] = backend.expect_hamiltonian(c)
+        last = k == s
+        if record_series or not last:
+            c, mean_a, mean_h = backend.advance(
+                c, transfer=not last, coupling=record_series or cooked,
+                energy=record_series)
+            if record_series:
+                exp_a[:, k] = mean_a
+                exp_h[:, k] = mean_h
 
     return BatchResult(
         final_internal=c,
@@ -362,19 +404,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         states=states,
         stored_steps=stored_steps,
         series_expA=exp_a,
-        series_varA=var_a,
         series_expH=exp_h,
     )
-
-
-def _expect2_initial(backend, c: np.ndarray) -> np.ndarray:
-    """<A^2> for the initial record, evaluated in the pre-step frame."""
-    if isinstance(backend, GridBackend):
-        return backend._weighted_density(c, backend._phase_half.conj(),
-                                         backend.coupling_values**2)
-    w = backend._w
-    a2 = (w.conj().T * backend.coupling_values**2) @ w
-    return SpectralBackend._expect(c, a2)
 
 
 def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams,

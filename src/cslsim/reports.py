@@ -88,16 +88,6 @@ def write_ledger_csv(path: Path, ledger) -> Path:
                       ledger.interaction, ledger.total])
 
 
-def write_trajectory_csv(path: Path, result) -> Path:
-    """Single-trajectory series with columns (t, expA, norm2, varA)."""
-    if result.series_expA is None:
-        raise ValueError("trajectory was run without series recording")
-    norm2 = np.exp(result.series_log_norm2)
-    return write_csv(path, ["t", "expA", "norm2", "varA"],
-                     [result.times, result.series_expA, norm2,
-                      result.series_varA])
-
-
 def write_ensemble_series_csv(path: Path, stats) -> Path:
     """Ensemble-mean series with columns (t, expA, expH)."""
     if stats.times is None:

@@ -102,7 +102,6 @@ class TrajectoryResult:
     coupling_populations: np.ndarray
     interaction_sample: float
     series_expA: Optional[np.ndarray] = None
-    series_varA: Optional[np.ndarray] = None
     series_expH: Optional[np.ndarray] = None
     series_log_norm2: Optional[np.ndarray] = None
     field_energy_sample: Optional[float] = None
@@ -178,7 +177,7 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
     seed : int or SeedSequence
         Entropy for cooked sampling; ignored when ``path`` is given.
     record_series : bool
-        Record per-step <A>, Var A, <H> and log norm^2.
+        Record per-step <A>, <H> and log norm^2.
     store_every : int
         Keep every k-th normalized state for reverse sweeps (0 = none).
     with_field_energy : bool
@@ -253,7 +252,6 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
         coupling_populations=populations,
         interaction_sample=float(v_sample),
         series_expA=None if batch.series_expA is None else batch.series_expA[0].copy(),
-        series_varA=None if batch.series_varA is None else batch.series_varA[0].copy(),
         series_expH=None if batch.series_expH is None else batch.series_expH[0].copy(),
         series_log_norm2=None if batch.log_red_series is None else batch.log_red_series[0].copy(),
         field_energy_sample=field_sample,

@@ -12,8 +12,8 @@ from cslsim.ensemble import (DensityMatrix, ensemble_density_matrix,
                              lindblad_propagate, run_ensemble)
 from cslsim.errors import LowEffectiveSampleError, NumericalFailure
 from cslsim.hilbert import HermitianOperator
-from cslsim.scenarios import (PAULI_X, qubit_dephasing, random_dense,
-                              two_level_collapse)
+from cslsim.scenarios import (PAULI_X, free_particle_grid, qubit_dephasing,
+                              random_dense, two_level_collapse)
 
 # Deterministic series against analytic decay laws.
 EXACT_SERIES = 1e-8
@@ -92,6 +92,12 @@ class TestLindbladEvolution:
             lindblad_propagate(rho0, scenario, steps=1, halving_tol=1e-16,
                                max_refine=2)
 
+    def test_no_refinement_budget_fails_naming_the_step_count(self):
+        scenario = two_level_collapse(t_end=0.5, steps=50)
+        rho0 = DensityMatrix.from_state(scenario.psi0)
+        with pytest.raises(NumericalFailure, match="at 50 steps"):
+            lindblad_propagate(rho0, scenario, max_refine=0)
+
 
 class TestEnsembleStatistics:
     def test_cooked_frequencies_sum_to_one_and_ess_is_n(self):
@@ -130,6 +136,18 @@ class TestEnsembleStatistics:
         assert np.array_equal(one.mean_coupling, four.mean_coupling)
         assert one.interaction_mean == four.interaction_mean
         assert one.mean_weight == four.mean_weight
+
+    def test_grid_thread_count_does_not_change_any_bit(self):
+        # 600 trajectories make three chunks of 256 on the grid.
+        scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0,
+                                      lam=0.05, t_end=1.0, steps=32)
+        one, two = (run_ensemble(scenario, 600, "cooked", 99, record_series=True,
+                                 keep_final_states=True, threads=t)
+                    for t in (1, 2))
+        assert np.array_equal(one.final_states, two.final_states)
+        assert np.array_equal(one.mean_coupling, two.mean_coupling)
+        assert np.array_equal(one.mean_hamiltonian, two.mean_hamiltonian)
+        assert one.interaction_mean == two.interaction_mean
 
     def test_frequency_lookup(self):
         scenario = two_level_collapse(t_end=1.0, steps=100)

@@ -1,0 +1,99 @@
+"""The batched propagation kernel: its work per step and the frame identity
+it relies on.
+
+After each step the kernel evaluates <A> once, in the post-step frame, and
+uses it both as the series entry and as the next step's cooked drift.  The
+drift is defined in the next step's pre-step frame; W G = W^dag makes the
+two agree.  The reference below computes the pre-step value from scratch:
+an explicit transfer, then exp(+iH dt/2) built independently of the
+backend, then the plain position or eigenvalue average.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from cslsim.noise import TimeGrid
+from cslsim.propagation import GridBackend, SpectralBackend, evolve_batch
+from cslsim.scenarios import free_particle_grid, random_dense
+
+DRIFT_MATCH = 1e-12
+
+
+def random_states(rng, b, d):
+    c = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+def count_transforms(monkeypatch):
+    """Count calls of numpy.fft.fft and numpy.fft.ifft."""
+    calls = [0]
+    for name in ("fft", "ifft"):
+        func = getattr(np.fft, name)
+
+        def counted(*args, _func=func, **kwargs):
+            calls[0] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("record_series", [False, True])
+def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, record_series):
+    scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05)
+    dt = 1.0 / 32.0
+    backend = GridBackend(scenario.grid_info, dt, scenario.params.hbar)
+    calls = count_transforms(monkeypatch)
+    rng = np.random.default_rng(3)
+    counts = []
+    for steps in (16, 32):
+        calls[0] = 0
+        evolve_batch(backend, TimeGrid(steps * dt, steps), scenario.params,
+                     scenario.psi0.amplitudes, mode="cooked",
+                     increments=rng.standard_normal((5, steps)),
+                     record_series=record_series)
+        counts.append(calls[0])
+    assert counts[1] - counts[0] == 3 * 16
+    # Entering the frame costs two transforms; the last step transfers
+    # nothing and, without series, needs no moments either.
+    assert counts[0] == 3 * 16 + (1 if record_series else -1)
+
+
+def grid_pre_step_mean(backend, c, dt, hbar):
+    e = backend.info.kinetic_energies(hbar)
+    lab = np.fft.ifft(np.fft.fft(c, axis=-1) * np.exp(0.5j * e * dt / hbar), axis=-1)
+    return (np.abs(lab) ** 2) @ backend.coupling_values
+
+
+def dense_pre_step_mean(scenario, c, dt):
+    a = scenario.collapse_op.matrix
+    va = scenario.collapse_op.spectrum().eigenvectors
+    rot = expm(0.5j * scenario.hamiltonian.matrix * dt / scenario.params.hbar)
+    lab = c @ (rot @ va).T
+    return np.einsum("bi,bi->b", lab.conj(), lab @ a.T).real
+
+
+@pytest.mark.parametrize("kind", ["grid", "dense"])
+def test_reused_drift_equals_the_pre_step_mean_after_transfer(kind):
+    rng = np.random.default_rng(8)
+    if kind == "grid":
+        scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0)
+        dt = 0.1
+        backend = GridBackend(scenario.grid_info, dt, scenario.params.hbar)
+    else:
+        scenario = random_dense(41, dim=6, lam=0.3, t_end=1.0, steps=10)
+        dt = scenario.grid.dt
+        backend = SpectralBackend(scenario.hamiltonian, scenario.collapse_op,
+                                  dt, scenario.params.hbar)
+    c = random_states(rng, 7, backend.dim)
+    moved = backend.transfer(c)
+    if kind == "grid":
+        expected = grid_pre_step_mean(backend, moved, dt, scenario.params.hbar)
+    else:
+        expected = dense_pre_step_mean(scenario, moved, dt)
+
+    state, mean_a, mean_h = backend.advance(c.copy(), energy=False)
+    assert mean_h is None
+    np.testing.assert_allclose(mean_a, expected, rtol=0.0, atol=DRIFT_MATCH)
+    np.testing.assert_allclose(state, moved, rtol=0.0, atol=DRIFT_MATCH)
