@@ -10,55 +10,3 @@ wavefunctions for collapse compatibility.
 """
 
 __version__ = "0.1.0"
-
-from .ensemble import (DensityMatrix, EnsembleStats, LindbladSeries,
-                       ensemble_density_matrix, grid_lindblad_channels,
-                       lindblad_propagate, run_ensemble)
-from .errors import (ConfigError, LowEffectiveSampleError, NonHermitianError,
-                     NumericalFailure, RangeOverflowError, ZeroNormError)
-from .hilbert import (HermitianOperator, Spectrum, StateVector,
-                      double_commutator, eigendecompose, expectation,
-                      herm_exp, interaction_picture, variance)
-from .ledger import (EnergyLedger, build_ledger, conservation_check,
-                     field_energy_quadrature, interaction_energy_check,
-                     observable_drift, rotating_expectation, system_energy)
-from .noise import (CollapseParams, NoisePath, TimeGrid, cooked_step_mean,
-                    sample_raw, standard_increments, trajectory_seed)
-from .postulate import (MomentumGrid, MomentumState, Superposition,
-                        build_window_state, collapse_residual, eq1_residual,
-                        equal_phase_symmetry, gaussian_state,
-                        gaussian_translate_overlap, generating_overlap_E,
-                        generating_overlap_P, log_gaussian_translate_overlap,
-                        make_superposition, moment_divergence_scan, tail_exponent,
-                        tail_fit)
-from .scenarios import (free_particle_grid, qubit_dephasing, random_dense,
-                        two_level_collapse)
-from .trajectory import (CollapseMetrics, Scenario, TrajectoryResult,
-                         collapse_metrics, collapse_step, evolve, evolve_cooked,
-                         importance_weight, reduced_step,
-                         trajectory_field_energy)
-
-__all__ = [
-    "__version__",
-    "CollapseMetrics", "CollapseParams", "ConfigError", "DensityMatrix",
-    "EnergyLedger", "EnsembleStats", "HermitianOperator", "LindbladSeries",
-    "LowEffectiveSampleError", "MomentumGrid", "MomentumState",
-    "NoisePath", "NonHermitianError", "NumericalFailure",
-    "RangeOverflowError", "Scenario", "Spectrum", "StateVector",
-    "Superposition", "TimeGrid", "TrajectoryResult", "ZeroNormError",
-    "build_ledger", "build_window_state", "collapse_metrics",
-    "collapse_residual", "collapse_step", "conservation_check",
-    "cooked_step_mean", "double_commutator", "eigendecompose",
-    "ensemble_density_matrix", "eq1_residual", "equal_phase_symmetry",
-    "evolve", "evolve_cooked", "expectation", "field_energy_quadrature",
-    "free_particle_grid", "gaussian_state", "gaussian_translate_overlap",
-    "generating_overlap_E", "generating_overlap_P", "grid_lindblad_channels",
-    "herm_exp", "importance_weight", "interaction_energy_check",
-    "interaction_picture", "lindblad_propagate",
-    "log_gaussian_translate_overlap", "make_superposition",
-    "moment_divergence_scan", "observable_drift", "qubit_dephasing",
-    "random_dense", "rotating_expectation", "run_ensemble", "sample_raw",
-    "standard_increments", "system_energy", "tail_exponent", "tail_fit",
-    "trajectory_field_energy", "trajectory_seed", "two_level_collapse",
-    "variance",
-]

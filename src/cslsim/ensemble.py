@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import LowEffectiveSampleError, NumericalFailure
-from .hilbert import HermitianOperator, StateVector
-from .noise import standard_increments, trajectory_seed
-from .propagation import GridBackend, evolve_batch, field_energy_sweep, make_backend
+from .hilbert import HermitianOperator, StateVector, eigenvalue_groups
+from .noise import TimeGrid, standard_increments, trajectory_seed
+from .propagation import evolve_batch, field_energy_sweep, make_backend
 from .tolerances import ALGEBRA
 from .trajectory import Scenario
 
@@ -130,19 +130,6 @@ class EnsembleStats:
         return float(self.outcome_frequencies[idx]), float(self.outcome_errors[idx])
 
 
-def _outcome_groups(values: np.ndarray) -> list:
-    """Group ascending values into near-degenerate clusters."""
-    span = float(values[-1] - values[0])
-    tol = 1e-9 * max(span, 1.0)
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            groups.append((start, i))
-            start = i
-    return groups
-
-
 def _run_chunk(backend, scenario, indices, mode, master_seed,
                record_series, with_field_energy, keep_final_states):
     """Propagate one chunk and return its partial sums."""
@@ -176,13 +163,8 @@ def _run_chunk(backend, scenario, indices, mode, master_seed,
         weights = np.ones(b)
     weights = np.where(ok, weights, 0.0)
 
-    c = batch.final_internal
-    coeffs = backend.coupling_coefficients(c)
-    pops = coeffs.real**2 + coeffs.imag**2
-    pops /= pops.sum(axis=1, keepdims=True)
-
-    a_vals = backend.coupling_values
-    groups = _outcome_groups(a_vals)
+    pops, states = backend.read_out(batch.final_internal)
+    groups, _ = eigenvalue_groups(backend.coupling_values)
     group_pops = np.stack([pops[:, lo:hi].sum(axis=1) for lo, hi in groups], axis=1)
     assign = np.argmax(group_pops, axis=1)
 
@@ -192,12 +174,7 @@ def _run_chunk(backend, scenario, indices, mode, master_seed,
     out["count_w"] = np.bincount(assign, weights=weights, minlength=k)
     out["count_w2"] = np.bincount(assign, weights=weights**2, minlength=k)
 
-    # Terminal interaction functional: the coupling is diagonal in the
-    # final internal frame, so both moments are direct sums.
-    pin = c.real**2 + c.imag**2
-    mean_a = pin @ a_vals
-    mean_a2 = pin @ (a_vals * a_vals)
-    v = batch.w[:, -1] * mean_a - 2.0 * params.lam * mean_a2
+    v = batch.interaction
     v = np.where(ok, v * weights if mode == "raw" else v, 0.0)
     out["sum_v"] = v.sum()
     out["sum_v2"] = (v**2).sum()
@@ -218,7 +195,7 @@ def _run_chunk(backend, scenario, indices, mode, master_seed,
         out["sum_wH"] = (wt * batch.series_expH).sum(axis=0)
 
     if keep_final_states:
-        out["states"] = backend.to_schrodinger(c)
+        out["states"] = states
         out["weights_row"] = weights
         out["ok_row"] = ok
     return out
@@ -339,8 +316,7 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
         final_states = np.concatenate(rows_s, axis=0)
         final_weights = np.concatenate(rows_w, axis=0)
 
-    groups = _outcome_groups(backend.coupling_values)
-    values = np.array([backend.coupling_values[lo:hi].mean() for lo, hi in groups])
+    _, values = eigenvalue_groups(backend.coupling_values)
 
     return EnsembleStats(
         n_requested=n, n_success=n_success, n_failed=n_failed, mode=mode,
@@ -564,7 +540,7 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
     t_end_eff = scenario.grid.t_end if t_end is None else t_end
     steps_eff = scenario.grid.steps if steps is None else steps
     if t_end_eff != scenario.grid.t_end:
-        scenario = _with_grid_time(scenario, t_end_eff, steps_eff)
+        scenario = replace(scenario, grid=TimeGrid(t_end_eff, steps_eff))
     psi = scenario.psi0.amplitudes
     ref = np.outer(psi, psi.conj())
     if float(np.abs(rho0.entries - ref).max()) > 1e-9:
@@ -588,12 +564,3 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
     raise NumericalFailure(
         f"grid evolution did not converge: halving at {steps_eff} steps "
         f"still moves the energy channel by {err:.3e}")
-
-
-def _with_grid_time(scenario: Scenario, t_end: float, steps: int) -> Scenario:
-    from .noise import TimeGrid
-
-    return Scenario(hamiltonian=scenario.hamiltonian, collapse_op=scenario.collapse_op,
-                    psi0=scenario.psi0, params=scenario.params,
-                    grid=TimeGrid(t_end, steps), grid_info=scenario.grid_info,
-                    label=scenario.label)

@@ -25,7 +25,11 @@ from . import tolerances
 from .errors import NonHermitianError, RangeOverflowError, ZeroNormError
 
 # Largest exponent handed to np.exp before we call the result an overflow.
-_EXP_LIMIT = 700.0
+EXP_LIMIT = 700.0
+
+# Eigenvalues closer than this (relative to the spectral span) are treated
+# as one eigenspace when classifying collapse outcomes.
+DEGENERACY_RTOL = 1e-9
 
 # Components smaller than this (relative to the largest one) are not used
 # for phase fixing; their angle is numerical noise.
@@ -191,7 +195,7 @@ def herm_exp(op: HermitianOperator, scale: complex) -> np.ndarray:
     spec = op.spectrum()
     z = complex(scale) * spec.eigenvalues
     worst = float(np.max(z.real))
-    if worst > _EXP_LIMIT:
+    if worst > EXP_LIMIT:
         raise RangeOverflowError(
             f"herm_exp exponent {worst:.1f} exceeds float64 range "
             f"(scale={scale!r}, eigenvalue range "
@@ -199,6 +203,23 @@ def herm_exp(op: HermitianOperator, scale: complex) -> np.ndarray:
             exponent=worst,
         )
     return spec.apply_function(np.exp(z))
+
+
+def eigenvalue_groups(values: np.ndarray) -> tuple:
+    """Group ascending eigenvalues into near-degenerate eigenspaces.
+
+    Consecutive values closer than DEGENERACY_RTOL times the spectral span
+    (at least 1) share a group.  Returns ``(groups, means)``: the
+    ``(lo, hi)`` slice bounds of each group and the mean eigenvalue of each.
+    """
+    tol = DEGENERACY_RTOL * max(float(values[-1] - values[0]), 1.0)
+    groups = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol:
+            groups.append((start, i))
+            start = i
+    return groups, np.array([values[lo:hi].mean() for lo, hi in groups])
 
 
 def interaction_picture(a: HermitianOperator, h: HermitianOperator, t: float) -> HermitianOperator:

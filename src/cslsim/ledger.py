@@ -10,7 +10,7 @@ routes and only then added:
 * interaction energy: exactly zero in ensemble mean (the terminal field
   value centers on 2 lam <A>); the deterministic ledger records zero and
   the Monte Carlo estimate of the same functional is reported separately
-  as a cross-check.
+  (``EnsembleStats.interaction_mean``) as a cross-check.
 
 The headline property is that system + field is constant to quadrature
 tolerance for arbitrary scenarios, not just integrable ones.
@@ -19,11 +19,11 @@ tolerance for arbitrary scenarios, not just integrable ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .ensemble import DensityMatrix, EnsembleStats, LindbladSeries, lindblad_propagate
+from .ensemble import DensityMatrix, LindbladSeries, lindblad_propagate
 from .errors import NumericalFailure
 from .hilbert import HermitianOperator, double_commutator, interaction_picture
 from .tolerances import QUADRATURE
@@ -100,11 +100,6 @@ def field_energy_quadrature(scenario: Scenario, series: LindbladSeries) -> np.nd
     return out
 
 
-def interaction_energy_series(series: LindbladSeries) -> np.ndarray:
-    """Deterministic interaction energy: identically zero in ensemble mean."""
-    return np.zeros_like(series.times)
-
-
 def build_ledger(scenario: Scenario, *, steps: Optional[int] = None,
                  series: Optional[LindbladSeries] = None,
                  label: str = "") -> EnergyLedger:
@@ -118,9 +113,9 @@ def build_ledger(scenario: Scenario, *, steps: Optional[int] = None,
         series = lindblad_propagate(rho0, scenario, steps=steps)
     sys_series = system_energy(series, scenario.hamiltonian)
     field_series = field_energy_quadrature(scenario, series)
-    inter = interaction_energy_series(series)
+    # The interaction energy is identically zero in ensemble mean.
     return EnergyLedger(times=series.times.copy(), system=sys_series,
-                        field=field_series, interaction=inter,
+                        field=field_series, interaction=np.zeros_like(series.times),
                         label=label or scenario.label)
 
 
@@ -167,9 +162,3 @@ def rotating_expectation(q: HermitianOperator, scenario: Scenario,
         q_rot = interaction_picture(q, h, -t / hbar)
         out[i] = float(np.einsum("ij,ji->", series.rhos[i], q_rot.matrix).real)
     return out
-
-
-def interaction_energy_check(stats: EnsembleStats) -> Tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of the terminal
-    coupling-field cross term; the model predicts a mean of zero."""
-    return stats.interaction_mean, stats.interaction_se

@@ -23,7 +23,6 @@ workers.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -144,33 +143,3 @@ def standard_increments(grid: TimeGrid, params: CollapseParams, seed) -> np.ndar
 def sample_raw(grid: TimeGrid, params: CollapseParams, seed) -> NoisePath:
     """Sample a raw-measure path: i.i.d. Normal(0, lam/dt) values."""
     return NoisePath(grid, standard_increments(grid, params, seed), "raw", seed)
-
-
-def cooked_step_mean(a_t, psi, params: CollapseParams) -> float:
-    """Mean of the physical field value over the next step.
-
-    Parameters
-    ----------
-    a_t : HermitianOperator
-        The coupling operator rotated to the left endpoint of the step.
-    psi : StateVector
-        Current (normalized or not) state.
-    params : CollapseParams
-
-    Returns
-    -------
-    float
-        2 * lam * <A(t)> in the normalized state.
-    """
-    from .hilbert import expectation
-
-    return 2.0 * params.lam * expectation(a_t, psi)
-
-
-def write_path_csv(path: NoisePath, stream) -> None:
-    """Dump a path as CSV rows (step, t, w) at full precision."""
-    writer = csv.writer(stream)
-    writer.writerow(["step", "t", "w"])
-    t0 = path.grid.times[:-1]
-    for k, (t, w) in enumerate(zip(t0, path.values)):
-        writer.writerow([k, format(t, ".17g"), format(w, ".17g")])

@@ -29,7 +29,10 @@ transfer is a Fourier multiplier and the coupling is diagonal on the grid,
 so no dense matrix ever appears in the hot loop.  On the grid one forward
 transform F of c_k per step serves the transfer ifft(F phase_full), the
 position density |ifft(F phase_half)|^2 behind <A>, and <H> from |F|^2:
-three transforms per step, computed in place.
+three transforms per step, computed in place.  After the last step
+``read_out`` gives the normalized coupling populations and the lab-frame
+states from one pass over the final internal states (one transform pair
+on the grid).
 
 All randomness is injected by the caller as pre-drawn standardized
 increments, which keeps results independent of batching.
@@ -42,10 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import HermitianOperator
+from .hilbert import EXP_LIMIT, HermitianOperator
 from .noise import CollapseParams, TimeGrid
-
-_EXP_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,16 @@ class SpectralBackend:
         mean_h = float((q.conj() @ (self._h_tilde @ q)).real) / n2
         return self._w.conj().T @ q, mean_a, mean_h
 
-    def to_schrodinger(self, c: np.ndarray) -> np.ndarray:
-        """Map internal coefficients after the last step to the lab frame
-        rotated back to time T (i.e. exp(-iHT) times the interaction-picture
-        state)."""
-        return c @ (self._va @ self._w.conj().T).T
+    def read_out(self, c: np.ndarray) -> tuple:
+        """Final read-out of the internal states ``c`` after the last step.
 
-    def coupling_coefficients(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients of the final Schrodinger state in the A eigenbasis."""
-        return c @ self._w.conj()
+        Returns ``(populations, lab)``: the normalized populations of the
+        final Schrodinger states in the A eigenbasis, and those states in
+        the lab frame rotated back to time T (i.e. exp(-iHT) times the
+        interaction-picture states).
+        """
+        return (_normalized_populations(c @ self._w.conj()),
+                c @ (self._va @ self._w.conj().T).T)
 
     def transfer(self, c: np.ndarray) -> np.ndarray:
         return c @ self._g.T
@@ -186,11 +188,12 @@ class GridBackend:
         mean_h = float((f.real**2 + f.imag**2) @ self._energies) / (self.dim * n2)
         return np.fft.ifft(f * self._phase_half, axis=-1), mean_a, mean_h
 
-    def to_schrodinger(self, c: np.ndarray) -> np.ndarray:
-        return self._kinetic(c, self._phase_half)
-
-    def coupling_coefficients(self, c: np.ndarray) -> np.ndarray:
-        return self.to_schrodinger(c)
+    def read_out(self, c: np.ndarray) -> tuple:
+        """Same contract as :meth:`SpectralBackend.read_out`; the coupling
+        is diagonal on the grid, so one half-step kinetic transform gives
+        both the lab states and their position populations."""
+        lab = self._kinetic(c, self._phase_half)
+        return _normalized_populations(lab), lab
 
     def transfer(self, c: np.ndarray) -> np.ndarray:
         return self._kinetic(c, self._phase_full)
@@ -233,6 +236,13 @@ def _abs2(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
+def _normalized_populations(coeffs: np.ndarray) -> np.ndarray:
+    """Row-normalized |coeffs|^2."""
+    pops = _abs2(coeffs)
+    pops /= pops.sum(axis=1, keepdims=True)
+    return pops
+
+
 def make_backend(scenario, dt: float):
     """Pick the propagation backend for a scenario."""
     info = getattr(scenario, "grid_info", None)
@@ -248,7 +258,9 @@ class BatchResult:
     States are kept normalized; ``log_red`` accumulates the log squared
     norm of the reduced propagator (the importance weight in raw mode)
     and ``sum_w2dt`` the integral of w^2 dt, so the full path density is
-    exp(log_red - sum_w2dt / (2 lam)).
+    exp(log_red - sum_w2dt / (2 lam)).  ``interaction`` is the terminal
+    interaction functional w_T <A> - 2 lam <A^2> in the final state,
+    unweighted.
     """
 
     final_internal: np.ndarray          # (B, d) normalized
@@ -256,6 +268,7 @@ class BatchResult:
     sum_w2dt: np.ndarray                # (B,)
     w: np.ndarray                       # (B, S) realized field values
     failed: np.ndarray                  # (B,) bool
+    interaction: np.ndarray             # (B,)
     log_red_series: Optional[np.ndarray] = None   # (B, S+1)
     states: Optional[np.ndarray] = None           # (B, n_stored, d) normalized
     stored_steps: Optional[np.ndarray] = None     # (n_stored,) step indices
@@ -294,9 +307,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     this is one forward FFT of c_k and two inverse ones per step.  The
     first drift and the t = 0 series entries are the moments of
     ``psi0`` itself.  The last step is not transferred:
-    ``final_internal`` is the post-step state that
-    ``backend.to_schrodinger`` and ``backend.coupling_coefficients``
-    expect.
+    ``final_internal`` is the post-step state that ``backend.read_out``
+    expects.
 
     Failed rows (exponent overflow or total underflow) are flagged, not
     raised; the ensemble layer decides how many failures are tolerable.
@@ -365,7 +377,7 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
 
         expo = dt * (wk[:, None] * a[None, :] - damp[None, :])
         rowmax = expo.max(axis=1)
-        bad = rowmax > _EXP_LIMIT
+        bad = rowmax > EXP_LIMIT
         if bad.any():
             failed |= bad
             expo[bad] = 0.0
@@ -394,12 +406,18 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
                 exp_a[:, k] = mean_a
                 exp_h[:, k] = mean_h
 
+    # The coupling is diagonal in the final internal frame, so both moments
+    # of the interaction functional are direct sums.
+    pops = _abs2(c)
+    interaction = w_out[:, -1] * (pops @ a) - 2.0 * lam * (pops @ (a * a))
+
     return BatchResult(
         final_internal=c,
         log_red=log_red,
         sum_w2dt=sum_w2dt,
         w=w_out,
         failed=failed,
+        interaction=interaction,
         log_red_series=log_series,
         states=states,
         stored_steps=stored_steps,

@@ -1,16 +1,15 @@
 """Global tolerance ladder.
 
 Every numerical check in the package draws its tolerance from this ladder
-instead of inventing a local constant.  The four rungs correspond to the
-four kinds of statements the code makes:
+instead of inventing a local constant.  The three rungs correspond to the
+three kinds of deterministic statements the code makes (Monte Carlo
+checks state their bands in standard errors where they are made):
 
 * construction-time identities (hermiticity, normalization): ``CONSTRUCTION``
 * algebraic identities between exactly representable objects: ``ALGEBRA``
 * deterministic quadrature / integration results: ``QUADRATURE``
-* Monte Carlo estimates, expressed in standard errors: ``MC_SIGMA``
 """
 
 CONSTRUCTION = 1e-12
 ALGEBRA = 1e-10
 QUADRATURE = 1e-6
-MC_SIGMA = 3.0

@@ -5,9 +5,8 @@ exp(-(dt / 4 lam) (w_k - 2 lam A_k)^2) with the coupling rotated to the
 step midpoint.  The factor splits exactly into a scalar Gaussian piece
 and a reduced piece exp(dt (w_k A_k - lam A_k^2)); the squared norm of
 the reduced product is the importance weight of the path relative to
-the zero-mean Gaussian proposal.  ``collapse_step`` and ``reduced_step``
-are the dense single-step reference operations; ``evolve`` runs whole
-paths through the batched kernel in :mod:`cslsim.propagation`.
+the zero-mean Gaussian proposal.  ``evolve`` runs whole paths through
+the batched kernel in :mod:`cslsim.propagation`.
 """
 
 from __future__ import annotations
@@ -18,17 +17,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import RangeOverflowError, NumericalFailure
-from .hilbert import HermitianOperator, StateVector
+from .errors import NumericalFailure
+from .hilbert import HermitianOperator, StateVector, eigenvalue_groups
 from .noise import CollapseParams, NoisePath, TimeGrid, standard_increments
 from .propagation import GridInfo, evolve_batch, field_energy_sweep, make_backend
 from .tolerances import CONSTRUCTION
-
-_EXP_LIMIT = 700.0
-
-# Eigenvalues closer than this (relative to the spectral span) are treated
-# as one eigenspace when classifying collapse outcomes.
-DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,50 +110,6 @@ class TrajectoryResult:
         return self.log_reduced_norm2 - self.sum_w2dt / (2.0 * self.lam)
 
 
-def collapse_step(psi: StateVector, a_mid: HermitianOperator, w_k: float,
-                  dt: float, params: CollapseParams) -> StateVector:
-    """Apply one full collapse factor exp(-(dt/4 lam)(w_k - 2 lam A)^2).
-
-    ``a_mid`` must already be rotated to the step midpoint.  The factor is
-    a positive Hermitian contraction toward the eigenspaces of ``a_mid``
-    selected by w_k; it never increases any eigencomponent beyond 1, so no
-    overflow is possible, but a wildly improbable w_k can annihilate the
-    state to machine zero, which is reported as a range error.
-    """
-    if params.lam == 0.0:
-        raise ValueError("the Gaussian collapse factor is singular at lam = 0")
-    spec = a_mid.spectrum()
-    expo = -(dt / (4.0 * params.lam)) * (w_k - 2.0 * params.lam * spec.eigenvalues) ** 2
-    coeffs = spec.eigenvectors.conj().T @ psi.amplitudes
-    out = spec.eigenvectors @ (np.exp(expo) * coeffs)
-    result = StateVector(out)
-    if psi.norm2 > 0.0 and result.norm2 == 0.0:
-        raise RangeOverflowError(
-            f"collapse factor annihilated the state: w={w_k!r} is "
-            f"{abs(expo).max():.3g} log-units from the spectral window",
-            exponent=float(abs(expo).max()))
-    return result
-
-
-def reduced_step(psi: StateVector, a_mid: HermitianOperator, w_k: float,
-                 dt: float, params: CollapseParams) -> StateVector:
-    """Apply the reduced factor exp(dt (w_k A - lam A^2)).
-
-    Identical to :func:`collapse_step` up to the scalar
-    exp(-w_k^2 dt / 4 lam); the identity is exact per step, not just in
-    the dt -> 0 limit.
-    """
-    spec = a_mid.spectrum()
-    expo = dt * (w_k * spec.eigenvalues - params.lam * spec.eigenvalues**2)
-    top = expo.max()
-    if top > _EXP_LIMIT:
-        raise RangeOverflowError(
-            f"reduced-step exponent {top:.1f} exceeds the floating range; "
-            f"w={w_k!r}, dt={dt!r}", exponent=float(top))
-    coeffs = spec.eigenvectors.conj().T @ psi.amplitudes
-    return StateVector(spec.eigenvectors @ (np.exp(expo) * coeffs))
-
-
 def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
            seed: Union[int, np.random.SeedSequence, None] = None,
            record_series: bool = True, store_every: int = 0,
@@ -216,25 +165,10 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
 
     log_red = float(batch.log_red[0])
     weight = math.exp(log_red) if mode == "raw" else 1.0
-    c_final = batch.final_internal[0]
-    psi_lab = backend.to_schrodinger(c_final[None, :])[0]
+    populations, psi_lab = backend.read_out(batch.final_internal)
     scale = math.exp(0.5 * log_red) if log_red > -1400.0 else 0.0
-    final_state = StateVector(psi_lab * scale)
-
-    coeffs = backend.coupling_coefficients(c_final[None, :])[0]
-    populations = coeffs.real**2 + coeffs.imag**2
-    populations = populations / populations.sum()
-
-    # Interaction-energy functional: the coupling is diagonal in the final
-    # internal frame, so its first two moments are direct sums.
-    a_vals = backend.coupling_values
-    pops_internal = c_final.real**2 + c_final.imag**2
-    mean_a = float(pops_internal @ a_vals)
-    mean_a2 = float(pops_internal @ (a_vals * a_vals))
-    w_last = float(batch.w[0, -1])
-    v_sample = w_last * mean_a - 2.0 * params.lam * mean_a2
-    if mode == "raw":
-        v_sample *= weight
+    final_state = StateVector(psi_lab[0] * scale)
+    v_sample = float(batch.interaction[0]) * weight
 
     field_sample = None
     if with_field_energy:
@@ -249,8 +183,8 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
         log_reduced_norm2=log_red,
         sum_w2dt=float(batch.sum_w2dt[0]),
         final_state=final_state,
-        coupling_populations=populations,
-        interaction_sample=float(v_sample),
+        coupling_populations=populations[0],
+        interaction_sample=v_sample,
         series_expA=None if batch.series_expA is None else batch.series_expA[0].copy(),
         series_expH=None if batch.series_expH is None else batch.series_expH[0].copy(),
         series_log_norm2=None if batch.log_red_series is None else batch.log_red_series[0].copy(),
@@ -259,22 +193,6 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
         stored_steps=batch.stored_steps,
     )
     return result
-
-
-def evolve_cooked(scenario: Scenario, seed: Union[int, np.random.SeedSequence], *,
-                  record_series: bool = True) -> TrajectoryResult:
-    """Shorthand for a cooked trajectory drawn from the physical measure."""
-    return evolve(scenario, None, seed=seed, record_series=record_series)
-
-
-def importance_weight(scenario: Scenario, path: NoisePath) -> float:
-    """Squared norm of the reduced propagator applied to the initial state.
-
-    This is the density of the physical path measure relative to the
-    zero-mean Gaussian proposal; its mean over raw draws is 1.
-    """
-    result = evolve(scenario, path, record_series=False)
-    return math.exp(result.log_reduced_norm2)
 
 
 def trajectory_field_energy(scenario: Scenario, path: NoisePath, *,
@@ -300,9 +218,9 @@ def collapse_metrics(psi: StateVector, coupling: HermitianOperator) -> CollapseM
 
     Returns the coupling variance in the normalized state, the distinct
     eigenvalue nearest to the coupling mean, and one minus the squared
-    projection onto that eigenvalue's eigenspace.  Eigenvalues within
-    DEGENERACY_RTOL of the spectral span count as one eigenspace, so
-    degenerate couplings collapse to subspaces, not individual vectors.
+    projection onto that eigenvalue's eigenspace.  Eigenvalues are grouped
+    by :func:`cslsim.hilbert.eigenvalue_groups`, so degenerate couplings
+    collapse to subspaces, not individual vectors.
     """
     psin = psi.normalized()
     spec = coupling.spectrum()
@@ -312,16 +230,7 @@ def collapse_metrics(psi: StateVector, coupling: HermitianOperator) -> CollapseM
     mean = float(probs @ vals)
     var = max(float(probs @ (vals * vals)) - mean * mean, 0.0)
 
-    span = float(vals[-1] - vals[0])
-    tol = DEGENERACY_RTOL * max(span, 1.0)
-    # vals is ascending; group consecutive near-equal eigenvalues.
-    groups = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            groups.append((start, i))
-            start = i
-    reps = np.array([vals[a:b].mean() for a, b in groups])
+    groups, reps = eigenvalue_groups(vals)
     idx = int(np.argmin(np.abs(reps - mean)))
     a, b = groups[idx]
     captured = float(probs[a:b].sum())

@@ -1,15 +1,11 @@
 """Tests for time discretization and collapse-noise sampling."""
 
-import csv
-import io
-
 import numpy as np
 import pytest
 
-from cslsim.hilbert import HermitianOperator, StateVector
 from cslsim.noise import (VALIDITY_THRESHOLD, CollapseParams, NoisePath,
-                          TimeGrid, cooked_step_mean, sample_raw,
-                          standard_increments, trajectory_seed, write_path_csv)
+                          TimeGrid, sample_raw, standard_increments,
+                          trajectory_seed)
 
 
 class TestCollapseParams:
@@ -104,22 +100,3 @@ class TestNoisePath:
         path = NoisePath(TimeGrid(1.0, 4), np.zeros(4), "given")
         with pytest.raises(ValueError):
             path.values[0] = 1.0
-
-    def test_csv_round_trip(self):
-        grid = TimeGrid(1.0, 8)
-        path = sample_raw(grid, CollapseParams(lam=2.0), 99)
-        buf = io.StringIO()
-        write_path_csv(path, buf)
-        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert len(rows) == 8
-        got = np.array([float(r["w"]) for r in rows])
-        assert np.array_equal(got, path.values)
-        assert float(rows[3]["t"]) == pytest.approx(grid.times[3])
-
-
-def test_cooked_step_mean_is_twice_lam_times_expectation():
-    op = HermitianOperator(np.diag([1.0, -1.0]))
-    psi = StateVector([np.sqrt(0.7), np.sqrt(0.3)])
-    params = CollapseParams(lam=0.6)
-    assert cooked_step_mean(op, psi, params) == pytest.approx(2.0 * 0.6 * 0.4,
-                                                              rel=1e-12)

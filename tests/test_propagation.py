@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cslsim.noise import TimeGrid
-from cslsim.propagation import GridBackend, SpectralBackend, evolve_batch
+from cslsim.ensemble import run_ensemble
+from cslsim.errors import NumericalFailure
+from cslsim.hilbert import HermitianOperator, StateVector
+from cslsim.noise import CollapseParams, NoisePath, TimeGrid
+from cslsim.propagation import GridBackend, SpectralBackend, evolve_batch, make_backend
 from cslsim.scenarios import free_particle_grid, random_dense
+from cslsim.trajectory import Scenario, evolve
 
 DRIFT_MATCH = 1e-12
 
@@ -58,6 +62,45 @@ def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, record_series)
     # Entering the frame costs two transforms; the last step transfers
     # nothing and, without series, needs no moments either.
     assert counts[0] == 3 * 16 + (1 if record_series else -1)
+
+
+def test_grid_final_read_out_is_one_transform_pair(monkeypatch):
+    # Keeping the final lab states reuses the transform that gives the
+    # outcome populations: one chunk costs the same either way.
+    scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                  t_end=0.5, steps=16)
+    calls = count_transforms(monkeypatch)
+    counts = []
+    for keep in (False, True):
+        calls[0] = 0
+        run_ensemble(scenario, 5, "cooked", 1, record_series=True,
+                     keep_final_states=keep)
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+def test_kernel_flags_rows_that_leave_the_floating_range():
+    # H = 0, so each eigencomponent's exponent is dt (w a_i - lam a_i^2):
+    # w = +1e6 overflows the exponent limit, w = -1e6 underflows every
+    # component to zero.
+    scenario = Scenario(
+        hamiltonian=HermitianOperator(np.zeros((2, 2))),
+        collapse_op=HermitianOperator(np.diag([1.0, 2.0])),
+        psi0=StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)),
+        params=CollapseParams(lam=1.0),
+        grid=TimeGrid(0.1, 10))
+    w = np.zeros((3, 10))
+    w[1, 4] = 1e6
+    w[2, 4] = -1e6
+    batch = evolve_batch(make_backend(scenario, scenario.grid.dt), scenario.grid,
+                         scenario.params, scenario.psi0.amplitudes,
+                         mode="given", given_w=w)
+    assert batch.failed.tolist() == [False, True, True]
+    for out in (batch.final_internal, batch.log_red, batch.sum_w2dt, batch.w,
+                batch.interaction):
+        assert np.isfinite(out).all()
+    with pytest.raises(NumericalFailure, match="left the floating range"):
+        evolve(scenario, NoisePath(scenario.grid, w[2], "given"))
 
 
 def grid_pre_step_mean(backend, c, dt, hbar):

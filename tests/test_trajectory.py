@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cslsim.errors import RangeOverflowError
 from cslsim.hilbert import HermitianOperator, StateVector, expectation
 from cslsim.noise import CollapseParams, NoisePath, TimeGrid, sample_raw, trajectory_seed
 from cslsim.propagation import GridInfo
 from cslsim.scenarios import qubit_dephasing, two_level_collapse
-from cslsim.trajectory import (Scenario, collapse_metrics, collapse_step,
-                               evolve, evolve_cooked, importance_weight,
-                               reduced_step, trajectory_field_energy)
+from cslsim.trajectory import (Scenario, collapse_metrics, evolve,
+                               trajectory_field_energy)
 
 # Single-path agreement between the kernel and the expm reference.
 PATH_MATCH = 1e-11
@@ -51,52 +49,6 @@ def naive_final_state(scenario, values):
     return expm(-1j * h * scenario.grid.t_end / hbar) @ psi
 
 
-class TestSingleStepOperations:
-    def test_collapse_step_diagonal_closed_form(self):
-        a = HermitianOperator(np.diag([1.0, -0.5, 2.0]))
-        psi = StateVector(np.array([0.2, 0.5 + 0.1j, -0.4]))
-        params = CollapseParams(lam=0.7)
-        dt, w = 0.05, 1.3
-        got = collapse_step(psi, a, w, dt, params)
-        factors = np.exp(-(dt / (4 * params.lam))
-                         * (w - 2 * params.lam * np.diag(a.matrix).real) ** 2)
-        np.testing.assert_allclose(got.amplitudes, factors * psi.amplitudes,
-                                   rtol=1e-12)
-
-    def test_reduced_step_differs_by_the_scalar_gaussian_factor(self):
-        rng = np.random.default_rng(41)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = HermitianOperator(0.5 * (g + g.conj().T))
-        amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi = StateVector(amp / np.linalg.norm(amp))
-        params = CollapseParams(lam=0.4)
-        dt, w = 0.1, -0.8
-        full = collapse_step(psi, a, w, dt, params)
-        reduced = reduced_step(psi, a, w, dt, params)
-        scalar = math.exp(-w * w * dt / (4 * params.lam))
-        np.testing.assert_allclose(full.amplitudes,
-                                   scalar * reduced.amplitudes, rtol=1e-12)
-
-    def test_collapse_step_rejects_zero_rate(self):
-        a = HermitianOperator(np.diag([1.0, -1.0]))
-        psi = StateVector([1.0, 0.0])
-        with pytest.raises(ValueError, match="singular at lam = 0"):
-            collapse_step(psi, a, 1.0, 0.1, CollapseParams(lam=0.0))
-
-    def test_collapse_step_annihilation_is_reported(self):
-        a = HermitianOperator(np.diag([1.0, -1.0]))
-        psi = StateVector([1.0, 1.0])
-        # w sits ~200 spectral widths out: every eigencomponent underflows.
-        with pytest.raises(RangeOverflowError):
-            collapse_step(psi, a, 400.0, 1.0, CollapseParams(lam=1.0))
-
-    def test_reduced_step_overflow_is_reported(self):
-        a = HermitianOperator(np.diag([1.0, -1.0]))
-        psi = StateVector([1.0, 0.0])
-        with pytest.raises(RangeOverflowError):
-            reduced_step(psi, a, 1e5, 0.1, CollapseParams(lam=1e-6))
-
-
 class TestAgainstDenseReference:
     def test_factorized_kernel_matches_expm_product(self):
         scenario = qubit_dephasing(omega=1.3, lam=0.35, t_end=0.5, steps=50)
@@ -107,8 +59,6 @@ class TestAgainstDenseReference:
                                               rel=PATH_MATCH)
         np.testing.assert_allclose(result.final_state.amplitudes, ref,
                                    atol=PATH_MATCH)
-        assert importance_weight(scenario, path) == pytest.approx(
-            result.weight, rel=1e-13)
 
     def test_kernel_matches_reference_with_nonunit_hbar(self):
         scenario = qubit_dephasing(omega=0.9, lam=0.2, t_end=0.4, steps=32,
@@ -170,7 +120,7 @@ class TestClosedForms:
 
     def test_zero_rate_path_is_purely_unitary(self):
         scenario = qubit_dephasing(omega=1.1, lam=0.0, t_end=0.7, steps=30)
-        result = evolve_cooked(scenario, seed=3)
+        result = evolve(scenario, seed=3)
         assert np.all(result.w == 0.0)
         assert result.log_reduced_norm2 == pytest.approx(0.0, abs=1e-12)
         assert result.log_density == pytest.approx(0.0, abs=1e-12)
@@ -185,7 +135,7 @@ class TestClosedForms:
             psi0=StateVector([1.0, 0.0]),
             params=CollapseParams(lam=1.0),
             grid=TimeGrid(2.0, 100))
-        result = evolve_cooked(scenario, seed=17)
+        result = evolve(scenario, seed=17)
         # Populations follow the ascending eigenvalue order (-1, +1).
         np.testing.assert_allclose(result.coupling_populations, [0.0, 1.0],
                                    atol=1e-14)
@@ -205,16 +155,16 @@ class TestDeterminismAndReplay:
 
     def test_cooked_seed_determinism(self):
         scenario = two_level_collapse(t_end=1.0, steps=100)
-        r1 = evolve_cooked(scenario, seed=trajectory_seed(10, 0))
-        r2 = evolve_cooked(scenario, seed=trajectory_seed(10, 0))
-        r3 = evolve_cooked(scenario, seed=trajectory_seed(10, 1))
+        r1 = evolve(scenario, seed=trajectory_seed(10, 0))
+        r2 = evolve(scenario, seed=trajectory_seed(10, 0))
+        r3 = evolve(scenario, seed=trajectory_seed(10, 1))
         assert np.array_equal(r1.w, r2.w)
         assert np.array_equal(r1.final_state.amplitudes, r2.final_state.amplitudes)
         assert not np.array_equal(r1.w, r3.w)
 
     def test_cooked_field_replays_to_the_same_state(self):
         scenario = qubit_dephasing(t_end=1.0, steps=80)
-        cooked = evolve_cooked(scenario, seed=trajectory_seed(11, 0))
+        cooked = evolve(scenario, seed=trajectory_seed(11, 0))
         replay = evolve(scenario, NoisePath(scenario.grid, cooked.w, "given"))
         np.testing.assert_allclose(replay.final_state.amplitudes,
                                    cooked.final_state.amplitudes, atol=1e-12)
