@@ -1,14 +1,21 @@
 """Monte Carlo ensembles and the deterministic density-matrix evolution.
 
 The two halves of this module check each other.  ``run_ensemble``
-averages many stochastic trajectories; ``lindblad_propagate`` integrates
+averages many stochastic trajectories; ``lindblad_propagate`` evolves
 the closed deterministic equation the ensemble mean must obey,
 
     d rho / dt = -(i/hbar) [H, rho] - (lam/2) [A, [A, rho]]
 
 in the lab frame.  Their agreement (weighted trajectory average of
-|psi><psi| against the integrated rho) is one of the package's headline
+|psi><psi| against the evolved rho) is one of the package's headline
 verification targets.
+
+Dense scenarios are evolved exactly: the Liouvillian is a fixed
+d^2 x d^2 matrix, its exponential over one step is formed once by Pade
+scaling and squaring, and its powers give the series; one exponential
+over the whole span checks the stepped end point.  The periodic grid is
+too large for that and uses a split-step integrator with a halving
+check on scalar energy channels.
 
 Determinism: an ensemble is split into fixed-size chunks, each chunk is
 propagated as one batch, and partial sums are combined in chunk order
@@ -27,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import LowEffectiveSampleError, NumericalFailure
-from .hilbert import HermitianOperator, StateVector, eigenvalue_groups
+from .hilbert import HermitianOperator, StateVector, eigenvalue_groups, expm
 from .noise import TimeGrid, standard_increments, trajectory_seed
 from .propagation import evolve_batch, field_energy_sweep, make_backend
 from .tolerances import ALGEBRA
@@ -45,6 +52,25 @@ def _chunk_size(dim: int) -> int:
     return 4096 if dim <= 16 else 256
 
 
+def _checked_entries(entries) -> np.ndarray:
+    """A read-only complex copy of ``entries`` once it is square, finite,
+    Hermitian and of unit trace."""
+    m = np.array(entries, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError("density matrix must be square and non-empty")
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix entries must be finite")
+    scale = max(float(np.abs(m).max()), 1.0)
+    asym = float(np.abs(m - m.conj().T).max())
+    if asym > ALGEBRA * scale:
+        raise ValueError(f"density matrix not Hermitian: defect {asym:.3e}")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > ALGEBRA:
+        raise ValueError(f"density matrix trace {tr!r} differs from 1")
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace, positive."""
@@ -52,23 +78,10 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValueError("density matrix must be square and non-empty")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix entries must be finite")
-        scale = max(float(np.abs(m).max()), 1.0)
-        asym = float(np.abs(m - m.conj().T).max())
-        if asym > ALGEBRA * scale:
-            raise ValueError(f"density matrix not Hermitian: defect {asym:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ALGEBRA:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1")
+        m = _checked_entries(self.entries)
         if float(np.linalg.eigvalsh(m).min()) < -ALGEBRA:
             raise ValueError("density matrix has a negative eigenvalue")
-        mm = np.array(m)
-        mm.flags.writeable = False
-        object.__setattr__(self, "entries", mm)
+        object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
@@ -76,8 +89,16 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityMatrix":
+        """|psi><psi| of the normalized ``psi``.
+
+        A projector is positive semidefinite by construction, so only the
+        eigenvalue test of the general constructor is skipped; on a
+        1024-point grid that test is the costly one.
+        """
         a = psi.normalized().amplitudes
-        return cls(np.outer(a, a.conj()))
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "entries", _checked_entries(np.outer(a, a.conj())))
+        return rho
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -352,6 +373,12 @@ class LindbladSeries:
     prohibitively large): the system energy Tr(H rho), the
     double-commutator trace Tr([A,[A,H]] rho) feeding the field-energy
     quadrature, and the final matrix.  All matrices are lab frame.
+
+    ``achieved_halving_error`` is the accuracy figure of the run.  Dense:
+    the largest entry difference between the stepped final rho and one
+    exp(L t_end) rho0, relative to the largest entry (at least 1).  Grid:
+    the change of the energy channel between the last two step counts of
+    the halving check, relative to its largest value (at least 1).
     """
 
     times: np.ndarray
@@ -367,56 +394,79 @@ class LindbladSeries:
         return self.final_rho.shape[0]
 
 
-def _lindblad_rhs(h: np.ndarray, a: np.ndarray, lam: float, hbar: float,
-                  rho: np.ndarray) -> np.ndarray:
-    comm_h = h @ rho - rho @ h
-    inner = a @ rho - rho @ a
-    dbl = a @ inner - inner @ a
-    return (-1j / hbar) * comm_h - 0.5 * lam * dbl
+def _liouvillian(scenario: Scenario) -> np.ndarray:
+    """The generator L of d rho/dt = L rho as a d^2 x d^2 matrix.
 
-
-def _integrate_dense(scenario: Scenario, rho0: np.ndarray, t_end: float,
-                     steps: int) -> np.ndarray:
-    """Classic fixed-step 4th-order integration; returns (steps+1, d, d)."""
+    Row-major vectorization: vec(X rho Y) = (X kron Y^T) vec(rho), with
+    vec(rho) = rho.reshape(-1).
+    """
     h = scenario.hamiltonian.matrix
     a = scenario.collapse_op.matrix
-    lam = scenario.params.lam
-    hbar = scenario.params.hbar
-    dt = t_end / steps
-    out = np.empty((steps + 1,) + rho0.shape, dtype=np.complex128)
-    out[0] = rho0
-    rho = rho0
-    for k in range(steps):
-        k1 = _lindblad_rhs(h, a, lam, hbar, rho)
-        k2 = _lindblad_rhs(h, a, lam, hbar, rho + 0.5 * dt * k1)
-        k3 = _lindblad_rhs(h, a, lam, hbar, rho + 0.5 * dt * k2)
-        k4 = _lindblad_rhs(h, a, lam, hbar, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        out[k + 1] = rho
-    return out
+    a2 = a @ a
+    eye = np.eye(h.shape[0])
+    return ((-1j / scenario.params.hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
+            - 0.5 * scenario.params.lam * (np.kron(a2, eye) + np.kron(eye, a2.T)
+                                           - 2.0 * np.kron(a, a.T)))
+
+
+def _power_stack(p: np.ndarray, count: int) -> tuple:
+    """(p^0, ..., p^(count-1)) stacked as a (count * n, n) array, and
+    p^count; ``count`` is a power of two, reached by doubling the stack."""
+    stack = np.eye(p.shape[0], dtype=p.dtype)
+    top = p
+    while stack.shape[0] < count * p.shape[0]:
+        stack = np.concatenate([stack, stack @ top])
+        top = top @ top
+    return stack, top
+
+
+def _stepped_series(p: np.ndarray, v0: np.ndarray, n_out: int) -> np.ndarray:
+    """Rows p^k v0 for k = 0 .. n_out - 1.
+
+    Blocked so that the series costs about 2 sqrt(n_out) BLAS calls, not
+    n_out: the block p^0 .. p^(B-1) is formed once and applied in one
+    product to the anchors v_0, v_B, v_2B, ..., themselves stepped by
+    p^B.  B is near sqrt(n_out) but keeps the block no larger than the
+    series itself.
+    """
+    n = p.shape[0]
+    block = 1
+    while 4 * block * block <= n_out and 2 * block * n <= n_out:
+        block *= 2
+    near, p_block = _power_stack(p, block)
+    count = -(-n_out // block)
+    anchors = np.empty((count, n), dtype=np.complex128)
+    anchors[0] = v0
+    for j in range(1, count):
+        anchors[j] = p_block @ anchors[j - 1]
+    out = (near @ anchors.T).reshape(block, n, count)
+    return out.transpose(2, 0, 1).reshape(count * block, n)[:n_out]
 
 
 def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
                        t_end: Optional[float] = None, steps: Optional[int] = None,
                        halving_tol: Optional[float] = None,
                        max_refine: int = 4) -> LindbladSeries:
-    """Integrate the deterministic ensemble equation for ``rho``.
+    """Evolve ``rho`` under the deterministic ensemble equation.
 
-    Fixed-step 4th-order integration with an a-posteriori halving check:
-    the step count doubles until halving changes no matrix entry by more
-    than ``halving_tol`` (relative to the largest entry; default 1e-8).
-    The returned series is the finest one computed.
+    Dense scenarios use the exact propagator P = exp(L dt) of the
+    Liouvillian L on 2 * ``steps`` intervals, dt = t_end / (2 * steps),
+    and return rho at all 2 * ``steps`` + 1 times.  Its accuracy figure,
+    ``achieved_halving_error``, is the largest entry difference between
+    the stepped final rho and one exp(L t_end) rho0 (relative to the
+    largest entry, at least 1); it must stay below ``halving_tol``
+    (default 1e-8).  ``max_refine`` does not apply.
 
     Grid scenarios dispatch to a split-step integrator that stores scalar
     channels instead of the (huge) matrix series and checks halving on
-    those channels at quadrature tolerance by default; see
-    :func:`grid_lindblad_channels`.
+    those channels at quadrature tolerance by default, with at most
+    ``max_refine`` step doublings; see :func:`grid_lindblad_channels`.
 
     Raises
     ------
     NumericalFailure
-        If the halving check still fails at the refinement cap.
+        If the dense accuracy figure exceeds ``halving_tol``, or the grid
+        halving check still fails at the refinement cap.
     """
     t_end = scenario.grid.t_end if t_end is None else t_end
     steps = scenario.grid.steps if steps is None else steps
@@ -427,27 +477,47 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
             max_refine=max_refine)
     halving_tol = 1e-8 if halving_tol is None else halving_tol
 
-    coarse = _integrate_dense(scenario, rho0.entries, t_end, steps)
-    err = math.inf
-    for _ in range(max_refine):
-        fine = _integrate_dense(scenario, rho0.entries, t_end, 2 * steps)
-        scale = max(float(np.abs(fine).max()), 1.0)
-        err = float(np.abs(fine[::2] - coarse).max()) / scale
-        if err < halving_tol:
-            times = np.linspace(0.0, t_end, 2 * steps + 1)
-            final = DensityMatrix(fine[-1])  # validates trace/positivity
-            return LindbladSeries(times=times, rhos=fine, final_rho=final.entries,
-                                  achieved_halving_error=err)
-        coarse = fine
-        steps *= 2
-    raise NumericalFailure(
-        f"density-matrix integration did not converge: halving at {steps} "
-        f"steps still moves entries by {err:.3e} (tolerance {halving_tol})")
+    d = rho0.dim
+    liou = _liouvillian(scenario)
+    v0 = rho0.entries.reshape(-1)
+    rhos = _stepped_series(expm(liou * (t_end / (2 * steps))), v0,
+                           2 * steps + 1).reshape(-1, d, d)
+    # The propagator keeps rho Hermitian only up to rounding.
+    rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    exact = (expm(liou * t_end) @ v0).reshape(d, d)
+    scale = max(float(np.abs(rhos).max()), 1.0)
+    err = float(np.abs(rhos[-1] - exact).max()) / scale
+    if not err <= halving_tol:
+        raise NumericalFailure(
+            f"density-matrix propagation not accurate: {2 * steps} exact steps "
+            f"end {err:.3e} away from exp(L t) rho0 (tolerance {halving_tol})")
+    final = DensityMatrix(rhos[-1])  # validates trace/positivity
+    return LindbladSeries(times=np.linspace(0.0, t_end, 2 * steps + 1), rhos=rhos,
+                          final_rho=final.entries, achieved_halving_error=err)
 
 
 # Number of channel samples kept along a grid evolution; fixed so that
 # runs at different step counts sample the same times and stay comparable.
 _GRID_SAMPLES = 64
+
+
+def _grid_energy_weights(info, hbar: float) -> np.ndarray:
+    """Real (2, N, N) weights W with Tr(H rho) = sum W[0] * Re rho and
+    Tr([A,[A,H]] rho) = sum W[1] * Re rho for Hermitian rho on the grid.
+
+    The kinetic H is circulant, H_ij = c[(i - j) mod N] with
+    c = ifft(e), and real symmetric because the energies e are even in
+    the momentum; so only Re rho enters.  For the position coupling,
+    [A,[A,H]]_ij = (x_i - x_j)^2 H_ij.  c is summed directly in cosines,
+    which keeps the evolution's transforms to its kinetic steps.
+    """
+    n = info.n_points
+    idx = np.arange(n)
+    e = info.kinetic_energies(hbar)
+    c = np.cos((2.0 * np.pi / n) * (np.outer(idx, idx) % n)) @ e / n
+    h = c[np.subtract.outer(idx, idx) % n]
+    x = info.positions
+    return np.stack([h, h * np.subtract.outer(x, x) ** 2])
 
 
 def _grid_channels_once(scenario: Scenario, steps: int):
@@ -481,18 +551,10 @@ def _grid_channels_once(scenario: Scenario, steps: int):
         r = np.fft.fft(np.fft.ifft(r, axis=1) * phase.conj()[None, :], axis=1)
         return r
 
-    def h_left(r):
-        return np.fft.ifft(e[:, None] * np.fft.fft(r, axis=0), axis=0)
+    weights = _grid_energy_weights(info, hbar)
 
     def channels(r):
-        g = h_left(r)
-        diag_g = np.einsum("ii->i", g)
-        sys_e = float(diag_g.real.sum())
-        t13 = 2.0 * float((x * x * diag_g.real).sum())
-        k = h_left(x[:, None] * r)
-        t2 = float((x * np.einsum("ii->i", k).real).sum())
-        dc = t13 - 2.0 * t2
-        return sys_e, dc
+        return np.einsum("kij,ij->k", weights, r.real)
 
     n_band = info.seam_margin
     edge = np.concatenate([np.arange(n_band), np.arange(info.n_points - n_band, info.n_points)])

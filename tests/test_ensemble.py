@@ -7,11 +7,13 @@ unit mean of raw importance weights.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cslsim.ensemble import (DensityMatrix, ensemble_density_matrix,
-                             lindblad_propagate, run_ensemble)
+from cslsim.ensemble import (DensityMatrix, _grid_energy_weights,
+                             ensemble_density_matrix, lindblad_propagate,
+                             run_ensemble)
 from cslsim.errors import LowEffectiveSampleError, NumericalFailure
-from cslsim.hilbert import HermitianOperator
+from cslsim.hilbert import HermitianOperator, expm
 from cslsim.scenarios import (PAULI_X, free_particle_grid, qubit_dephasing,
                               random_dense, two_level_collapse)
 
@@ -21,6 +23,40 @@ EXACT_SERIES = 1e-8
 # are sized at 3-4 standard errors so reruns with nearby seeds also pass.
 SEED_RAW_WEIGHT = 321
 SEED_RHO = 654
+
+
+def liouvillian_oracle(scenario):
+    """L with L vec(rho) = vec(-(i/hbar)[H, rho] - (lam/2)[A, [A, rho]])
+    for the row-major vec, built column by column from the equation."""
+    h = scenario.hamiltonian.matrix
+    a = scenario.collapse_op.matrix
+    lam, hbar = scenario.params.lam, scenario.params.hbar
+    d = h.shape[0]
+    cols = []
+    for unit in np.eye(d * d):
+        rho = unit.reshape(d, d)
+        inner = a @ rho - rho @ a
+        out = (-1j / hbar) * (h @ rho - rho @ h) - 0.5 * lam * (a @ inner - inner @ a)
+        cols.append(out.reshape(-1))
+    return np.array(cols).T
+
+
+class TestExpm:
+    @pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 1e2])
+    def test_matches_scipy_on_random_liouvillians(self, norm):
+        scenario = random_dense(700, dim=4, lam=0.8)
+        liou = liouvillian_oracle(scenario)
+        m = liou * (norm / np.abs(liou).sum(axis=0).max())
+        exact = scipy.linalg.expm(m)
+        assert np.abs(expm(m) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_jordan_block(self):
+        # Not diagonalizable: exp(J) = e^2 [[1, 1, 1/2], [0, 1, 1], [0, 0, 1]].
+        j = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+        closed = np.exp(2.0) * np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0],
+                                         [0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(expm(j), scipy.linalg.expm(j), rtol=1e-12)
+        np.testing.assert_allclose(expm(j), closed, rtol=1e-14)
 
 
 class TestDensityMatrix:
@@ -44,6 +80,19 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    def test_only_the_general_constructor_runs_the_eigenvalue_test(self, monkeypatch):
+        # |psi><psi| is positive semidefinite by construction.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(m) or eigvalsh(m))
+        psi = random_dense(5, dim=6).psi0
+        rho = DensityMatrix.from_state(psi)
+        assert calls == []
+        assert not rho.entries.flags.writeable
+        np.testing.assert_array_equal(DensityMatrix(rho.entries).entries, rho.entries)
+        assert len(calls) == 1
 
     def test_expectation(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]))
@@ -85,18 +134,61 @@ class TestLindbladEvolution:
         np.testing.assert_allclose(series.final_rho, 0.5 * np.eye(2),
                                    atol=1e-12)
 
-    def test_unconverged_integration_fails(self):
-        scenario = qubit_dephasing(t_end=2.0, steps=1)
+    def test_inaccurate_propagation_fails(self):
+        scenario = random_dense(501, dim=4, lam=0.4, t_end=1.5, steps=256)
         rho0 = DensityMatrix.from_state(scenario.psi0)
-        with pytest.raises(NumericalFailure, match="converge"):
-            lindblad_propagate(rho0, scenario, steps=1, halving_tol=1e-16,
-                               max_refine=2)
+        figure = lindblad_propagate(rho0, scenario).achieved_halving_error
+        assert figure > 0.0
+        with pytest.raises(NumericalFailure, match="not accurate"):
+            lindblad_propagate(rho0, scenario, halving_tol=0.5 * figure)
 
     def test_no_refinement_budget_fails_naming_the_step_count(self):
-        scenario = two_level_collapse(t_end=0.5, steps=50)
+        # The grid integrator holds the only halving loop.
+        scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0,
+                                      lam=0.05, t_end=1.0, steps=32)
         rho0 = DensityMatrix.from_state(scenario.psi0)
-        with pytest.raises(NumericalFailure, match="at 50 steps"):
+        with pytest.raises(NumericalFailure, match="at 32 steps"):
             lindblad_propagate(rho0, scenario, max_refine=0)
+
+    @pytest.mark.parametrize("dim,steps", [(2, 1), (4, 64), (5, 300)])
+    def test_dense_series_matches_the_expm_oracle_at_every_time(self, dim, steps):
+        scenario = random_dense(600 + dim, dim=dim, lam=0.7, t_end=1.5,
+                                steps=steps)
+        rho0 = DensityMatrix.from_state(scenario.psi0)
+        series = lindblad_propagate(rho0, scenario)
+        # 2 * steps intervals, the spacing that the ledger's decimation
+        # check and the drift law's finite differences are sized for.
+        assert series.times.size == 2 * steps + 1
+        assert series.rhos.shape == (2 * steps + 1, dim, dim)
+        liou = liouvillian_oracle(scenario)
+        for t, rho in zip(series.times, series.rhos):
+            exact = (scipy.linalg.expm(liou * t) @ rho0.entries.reshape(-1))
+            assert np.abs(rho - exact.reshape(dim, dim)).max() <= 1e-12
+
+
+def test_grid_energy_weights_match_the_transform_route():
+    """The fixed-matrix traces against the Fourier-multiplier route
+    H rho = ifft(e * fft(rho)) on a random Hermitian rho."""
+    scenario = free_particle_grid(n_points=128, dx=0.3, lam=0.05)
+    info, hbar = scenario.grid_info, scenario.params.hbar
+    x, e = info.positions, info.kinetic_energies(hbar)
+
+    def h_left(r):
+        return np.fft.ifft(e[:, None] * np.fft.fft(r, axis=0), axis=0)
+
+    rng = np.random.default_rng(77)
+    m = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    diag_g = np.einsum("ii->i", h_left(rho)).real
+    sys_e = diag_g.sum()
+    t13 = 2.0 * (x * x * diag_g).sum()
+    t2 = (x * np.einsum("ii->i", h_left(x[:, None] * rho)).real).sum()
+    got = np.einsum("kij,ij->k", _grid_energy_weights(info, hbar), rho.real)
+    assert abs(got[0] - sys_e) <= 1e-12 * abs(sys_e)
+    # The transform route cancels two terms of size |t13| (here 2e4 times
+    # the result), so its own rounding is relative to that size.
+    assert abs(got[1] - (t13 - 2.0 * t2)) <= 1e-12 * abs(t13)
 
 
 class TestEnsembleStatistics:

@@ -4,6 +4,8 @@
   dependencies; none hides in a function body.
 * The exponent limit handed to np.exp is one decision with one home
   (``hilbert.EXP_LIMIT``), so its literal appears once.
+* numpy is the only runtime dependency: no module imports scipy, which
+  the tests use as an oracle only.
 """
 
 import ast
@@ -37,3 +39,16 @@ def test_exponent_limit_literal_appears_once():
         and node.value == 700.0
     ]
     assert len(found) == 1, "700.0 appears at " + ", ".join(found)
+
+
+def test_no_module_imports_scipy():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(parse(path))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert not found, "scipy imported at " + ", ".join(found)

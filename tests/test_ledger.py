@@ -10,7 +10,8 @@ import pytest
 
 from cslsim.ensemble import DensityMatrix, lindblad_propagate, run_ensemble
 from cslsim.errors import NumericalFailure
-from cslsim.hilbert import HermitianOperator
+from cslsim.hilbert import (HermitianOperator, double_commutator,
+                            interaction_picture)
 from cslsim.ledger import (build_ledger, conservation_check,
                            field_energy_quadrature, observable_drift,
                            rotating_expectation)
@@ -80,6 +81,25 @@ def test_drift_formula_differentiates_the_rotating_expectation():
     assert rel <= 1e-9
 
 
+def test_drift_matches_the_interaction_picture_loop():
+    """The eigenbasis contraction against a loop that rotates q by
+    interaction_picture and forms the double commutator at every time."""
+    scenario = random_dense(3001, dim=8, lam=0.6, t_end=2.0, steps=256)
+    series = lindblad_propagate(DensityMatrix.from_state(scenario.psi0),
+                                scenario)
+    lam, hbar = scenario.params.lam, scenario.params.hbar
+    for q in (scenario.hamiltonian,
+              random_hermitian(np.random.default_rng(31), 8)):
+        loop = np.empty(series.times.size)
+        for i, t in enumerate(series.times):
+            q_rot = interaction_picture(q, scenario.hamiltonian, -t / hbar)
+            d = double_commutator(scenario.collapse_op, q_rot)
+            loop[i] = -0.5 * lam * float(np.einsum("ij,ji->", series.rhos[i],
+                                                   d.matrix).real)
+        got = observable_drift(q, scenario, series)
+        assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
 def test_free_particle_grid_heats_at_the_predicted_rate():
     scenario = free_particle_grid(n_points=256, dx=0.5, sigma0=4.0,
                                   lam=0.01, t_end=2.0, steps=64)
@@ -94,9 +114,10 @@ def test_free_particle_grid_heats_at_the_predicted_rate():
 def test_quadrature_decimation_guard_trips_on_a_coarse_series():
     scenario = qubit_dephasing(lam=0.2, t_end=2.0, steps=8)
     rho0 = DensityMatrix.from_state(scenario.psi0)
-    # Force an early return from the halving loop: the 17-point series is
-    # accurate per point but far too coarse for the trapezoid target.
-    series = lindblad_propagate(rho0, scenario, steps=8, halving_tol=1e30)
+    # 8 steps give a 17-point series: exact per point, but far too coarse
+    # for the trapezoid target.
+    series = lindblad_propagate(rho0, scenario, steps=8)
+    assert series.times.size == 17
     with pytest.raises(NumericalFailure, match="not converged"):
         field_energy_quadrature(scenario, series)
 
