@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import LowEffectiveSampleError, NumericalFailure
 from .hilbert import HermitianOperator, StateVector, eigenvalue_groups, expm
-from .noise import TimeGrid, standard_increments, trajectory_seed
+from .noise import TimeGrid, block_increments
 from .propagation import evolve_batch, field_energy_sweep, make_backend
 from .tolerances import ALGEBRA
 from .trajectory import Scenario
@@ -158,19 +158,13 @@ def _run_chunk(backend, scenario, indices, mode, master_seed,
     params = scenario.params
     s = grid.steps
     b = indices.size
-    draws = np.empty((b, s))
-    for row, idx in enumerate(indices):
-        draws[row] = standard_increments(grid, params, trajectory_seed(master_seed, int(idx)))
-
+    draws = block_increments(grid, params, master_seed, indices)
     store_every = max(1, int(math.sqrt(s))) if with_field_energy else 0
-    if mode == "cooked":
-        batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
-                             mode="cooked", increments=draws,
-                             record_series=record_series, store_every=store_every)
-    else:
-        batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
-                             mode="raw", given_w=draws,
-                             record_series=record_series, store_every=store_every)
+    cooked = mode == "cooked"
+    batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, mode=mode,
+                         increments=draws if cooked else None,
+                         given_w=None if cooked else draws,
+                         record_series=record_series, store_every=store_every)
 
     ok = ~batch.failed
     n_ok = int(ok.sum())

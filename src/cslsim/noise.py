@@ -15,18 +15,24 @@ sampling modes exist:
   is state dependent.
 
 Seeding contract: every trajectory draws its standardized increments in a
-single vectorized call from a generator derived as
+single vectorized call from a PCG64 generator seeded by
 ``SeedSequence(master_seed, spawn_key=(index,))``.  Results are therefore
 reproducible and independent of how trajectories are batched across
-workers.
+workers.  An ensemble derives the seed words of a whole chunk in one
+vectorized pass over its indices (``block_increments``); the stream of
+each index is the one ``standard_increments(grid, params,
+trajectory_seed(master_seed, index))`` draws, bit for bit, so any
+trajectory of an ensemble can be replayed on its own.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Discretization validity: a step must not let the collapse exponent
 # explore the full spectral range of the coupling in one go.  Warn when
@@ -140,6 +146,105 @@ def standard_increments(grid: TimeGrid, params: CollapseParams, seed) -> np.ndar
     return rng.standard_normal(grid.steps) * sigma
 
 
-def sample_raw(grid: TimeGrid, params: CollapseParams, seed) -> NoisePath:
-    """Sample a raw-measure path: i.i.d. Normal(0, lam/dt) values."""
-    return NoisePath(grid, standard_increments(grid, params, seed), "raw", seed)
+# SeedSequence's pool size and hash constants (O'Neill's seed_seq_fe, as
+# numpy implements it in numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value: np.ndarray, mult: int, step: int = _MULT_A) -> tuple:
+    """SeedSequence's ``hashmix`` on uint32 arrays: the hashed value and the
+    multiplier advanced by ``step`` (``_MULT_B`` when generating state)."""
+    value = value ^ mult
+    mult = (mult * step) & _MASK32
+    value = value * np.uint32(mult)
+    return value ^ (value >> 16), mult
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two pool words."""
+    z = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return z ^ (z >> 16)
+
+
+def _spawned_state_words(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """``trajectory_seed(master_seed, i).generate_state(4, np.uint64)`` for
+    every ``i`` in ``indices`` at once, shape (B, 4).
+
+    The entropy is the master seed's 32-bit words, zero-padded to the pool
+    size because a spawn key is present, followed by the index as the one
+    spawn-key word; pool mixing and state generation then follow
+    SeedSequence step by step on uint32 arrays, whose products wrap as the
+    C code's do.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be non-negative, got {master_seed}")
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+        raise ValueError("indices must be a 1-D array of integers")
+    if idx.size and (idx.min() < 0 or idx.max() > _MASK32):
+        raise ValueError("trajectory indices must lie in [0, 2**32): a larger "
+                         "index takes two spawn-key words")
+    n_run = max(1, (master_seed.bit_length() + 31) // 32)
+    run = [np.array([(master_seed >> (32 * k)) & _MASK32], dtype=np.uint32)
+           for k in range(n_run)]
+    pad = [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - n_run)
+    entropy = run + pad + [idx.astype(np.uint32)]
+
+    mult = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        hashed, mult = _hashmix(word, mult)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, mult = _hashmix(pool[src], mult)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, mult = _hashmix(word, mult)
+            pool[dst] = _mix(pool[dst], hashed)
+
+    # generate_state(4, uint64): eight uint32 words read cyclically from
+    # the pool, paired little-endian into 64-bit words.
+    mult = _INIT_B
+    state = np.empty((idx.size, 8), dtype=np.uint64)
+    for k in range(8):
+        state[:, k], mult = _hashmix(pool[k % _POOL_SIZE], mult, _MULT_B)
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence that hands PCG64 precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self._words.size or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words serve only PCG64 seeding")
+        return self._words
+
+
+def block_increments(grid: TimeGrid, params: CollapseParams, master_seed: int,
+                     indices: np.ndarray) -> np.ndarray:
+    """The zero-mean parts of the paths of trajectories ``indices``, shape
+    (B, S).
+
+    Row ``r`` equals ``standard_increments(grid, params,
+    trajectory_seed(master_seed, indices[r]))`` bit for bit: the seed words
+    of all rows are derived in one vectorized pass, and each row is one
+    vectorized draw from its own PCG64 stream.
+    """
+    words = _spawned_state_words(master_seed, indices)
+    draws = np.empty((words.shape[0], grid.steps))
+    for row, w in enumerate(words):
+        rng = np.random.Generator(np.random.PCG64(_StateWords(w)))
+        rng.standard_normal(out=draws[row])
+    draws *= np.sqrt(params.lam / grid.dt)
+    return draws

@@ -14,8 +14,10 @@ from cslsim.ensemble import (DensityMatrix, _grid_energy_weights,
                              run_ensemble)
 from cslsim.errors import LowEffectiveSampleError, NumericalFailure
 from cslsim.hilbert import HermitianOperator, expm
+from cslsim.noise import trajectory_seed
 from cslsim.scenarios import (PAULI_X, free_particle_grid, qubit_dephasing,
                               random_dense, two_level_collapse)
+from cslsim.trajectory import evolve
 
 # Deterministic series against analytic decay laws.
 EXACT_SERIES = 1e-8
@@ -240,6 +242,16 @@ class TestEnsembleStatistics:
         assert np.array_equal(one.mean_coupling, two.mean_coupling)
         assert np.array_equal(one.mean_hamiltonian, two.mean_hamiltonian)
         assert one.interaction_mean == two.interaction_mean
+
+    def test_any_trajectory_replays_from_its_index_seed(self):
+        # 4200 trajectories make two chunks of 4096 and 104.
+        scenario = random_dense(5, steps=64)
+        stats = run_ensemble(scenario, 4200, "cooked", 9, keep_final_states=True)
+        for i in (0, 17, 4100, 4199):
+            one = evolve(scenario, seed=trajectory_seed(9, i))
+            # A one-row batch rounds its matrix products differently.
+            np.testing.assert_allclose(one.final_state.normalized().amplitudes,
+                                       stats.final_states[i], rtol=0.0, atol=1e-13)
 
     def test_frequency_lookup(self):
         scenario = two_level_collapse(t_end=1.0, steps=100)

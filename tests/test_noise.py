@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cslsim.noise import (VALIDITY_THRESHOLD, CollapseParams, NoisePath,
-                          TimeGrid, sample_raw, standard_increments,
+                          TimeGrid, block_increments, standard_increments,
                           trajectory_seed)
 
 
@@ -78,15 +78,36 @@ class TestIncrements:
         assert np.all(draws == 0.0)
 
 
-class TestNoisePath:
-    def test_sample_raw_matches_increments(self):
-        grid = TimeGrid(2.0, 32)
-        params = CollapseParams(lam=1.5)
-        path = sample_raw(grid, params, trajectory_seed(1, 0))
-        ref = standard_increments(grid, params, trajectory_seed(1, 0))
-        assert path.mode == "raw"
-        assert np.array_equal(path.values, ref)
+class TestBlockIncrements:
+    """An ensemble chunk's draws against the per-trajectory streams."""
 
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 3**70])
+    def test_rows_are_the_per_trajectory_streams_bit_for_bit(self, master):
+        grid = TimeGrid(1.5, 24)
+        params = CollapseParams(lam=0.4)
+        for idx in (np.arange(64), np.arange(4096, 8192), np.array([2**32 - 1])):
+            block = block_increments(grid, params, master, idx)
+            assert block.shape == (idx.size, grid.steps)
+            for row, i in zip(block, idx):
+                ref = standard_increments(grid, params, trajectory_seed(master, int(i)))
+                assert np.array_equal(row, ref)
+
+    def test_seeds_outside_one_spawn_word_are_refused(self):
+        grid = TimeGrid(1.0, 8)
+        params = CollapseParams(lam=0.4)
+        # 2**32 needs a second spawn-key word, which the block path does
+        # not derive; it must refuse rather than hand out another stream.
+        with pytest.raises(ValueError):
+            block_increments(grid, params, 0, np.array([0, 2**32]))
+        with pytest.raises(ValueError):
+            block_increments(grid, params, 0, np.array([-1]))
+        with pytest.raises(ValueError):
+            trajectory_seed(-1, 0)
+        with pytest.raises(ValueError):
+            block_increments(grid, params, -1, np.arange(4))
+
+
+class TestNoisePath:
     def test_validation(self):
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):

@@ -103,6 +103,34 @@ def test_kernel_flags_rows_that_leave_the_floating_range():
         evolve(scenario, NoisePath(scenario.grid, w[2], "given"))
 
 
+def test_flagging_one_row_leaves_the_others_bit_identical():
+    scenario = random_dense(6, steps=32)
+    backend = make_backend(scenario, scenario.grid.dt)
+    w = np.random.default_rng(3).standard_normal((64, 32))
+    calm = w.copy()
+    w[17, 5] = 1e6
+
+    def run(rows):
+        return evolve_batch(backend, scenario.grid, scenario.params,
+                            scenario.psi0.amplitudes, mode="given", given_w=rows)
+
+    batch = run(w)
+    assert np.flatnonzero(batch.failed).tolist() == [17]
+    keep = np.arange(64) != 17
+    same_shape = run(calm)
+    without = run(w[keep])
+    assert not same_shape.failed.any() and not without.failed.any()
+    for name in ("final_internal", "log_red", "interaction"):
+        assert np.array_equal(getattr(batch, name)[keep], getattr(same_shape, name)[keep])
+    for name in ("final_internal", "log_red"):
+        assert np.array_equal(getattr(batch, name)[keep], getattr(without, name))
+    # The terminal <A> is a BLAS matrix-vector product whose blocking over
+    # rows depends on the batch size, so the last rows of a 63-row batch
+    # may round differently from the same rows of a 64-row one.
+    np.testing.assert_allclose(batch.interaction[keep], without.interaction,
+                               rtol=0.0, atol=1e-15)
+
+
 def grid_pre_step_mean(backend, c, dt, hbar):
     e = backend.info.kinetic_energies(hbar)
     lab = np.fft.ifft(np.fft.fft(c, axis=-1) * np.exp(0.5j * e * dt / hbar), axis=-1)

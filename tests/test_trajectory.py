@@ -14,7 +14,8 @@ import pytest
 from scipy.linalg import expm
 
 from cslsim.hilbert import HermitianOperator, StateVector, expectation
-from cslsim.noise import CollapseParams, NoisePath, TimeGrid, sample_raw, trajectory_seed
+from cslsim.noise import (CollapseParams, NoisePath, TimeGrid, standard_increments,
+                          trajectory_seed)
 from cslsim.propagation import GridInfo
 from cslsim.scenarios import qubit_dephasing, two_level_collapse
 from cslsim.trajectory import (Scenario, collapse_metrics, evolve,
@@ -22,6 +23,11 @@ from cslsim.trajectory import (Scenario, collapse_metrics, evolve,
 
 # Single-path agreement between the kernel and the expm reference.
 PATH_MATCH = 1e-11
+
+
+def raw_path(grid, params, seed):
+    """A raw-measure path: i.i.d. Normal(0, lam/dt) values."""
+    return NoisePath(grid, standard_increments(grid, params, seed), "raw", seed)
 
 
 def naive_reduced_states(scenario, values):
@@ -52,7 +58,7 @@ def naive_final_state(scenario, values):
 class TestAgainstDenseReference:
     def test_factorized_kernel_matches_expm_product(self):
         scenario = qubit_dephasing(omega=1.3, lam=0.35, t_end=0.5, steps=50)
-        path = sample_raw(scenario.grid, scenario.params, trajectory_seed(5, 0))
+        path = raw_path(scenario.grid, scenario.params, trajectory_seed(5, 0))
         result = evolve(scenario, path)
         ref = naive_final_state(scenario, path.values)
         assert result.weight == pytest.approx(float(np.vdot(ref, ref).real),
@@ -63,7 +69,7 @@ class TestAgainstDenseReference:
     def test_kernel_matches_reference_with_nonunit_hbar(self):
         scenario = qubit_dephasing(omega=0.9, lam=0.2, t_end=0.4, steps=32,
                                    hbar=1.7)
-        path = sample_raw(scenario.grid, scenario.params, trajectory_seed(6, 1))
+        path = raw_path(scenario.grid, scenario.params, trajectory_seed(6, 1))
         result = evolve(scenario, path)
         ref = naive_final_state(scenario, path.values)
         np.testing.assert_allclose(result.final_state.amplitudes, ref,
@@ -71,7 +77,7 @@ class TestAgainstDenseReference:
 
     def test_recorded_series_matches_reference_states(self):
         scenario = qubit_dephasing(lam=0.3, t_end=0.5, steps=20)
-        path = sample_raw(scenario.grid, scenario.params, trajectory_seed(7, 2))
+        path = raw_path(scenario.grid, scenario.params, trajectory_seed(7, 2))
         result = evolve(scenario, path, record_series=True)
         states = naive_reduced_states(scenario, path.values)
         h = scenario.hamiltonian.matrix
@@ -113,7 +119,7 @@ class TestClosedForms:
 
     def test_log_density_combines_both_factors(self):
         scenario = two_level_collapse(t_end=0.5, steps=25)
-        path = sample_raw(scenario.grid, scenario.params, trajectory_seed(8, 0))
+        path = raw_path(scenario.grid, scenario.params, trajectory_seed(8, 0))
         result = evolve(scenario, path)
         expected = result.log_reduced_norm2 - result.sum_w2dt / (2 * scenario.params.lam)
         assert result.log_density == pytest.approx(expected, rel=1e-14)
@@ -147,7 +153,7 @@ class TestClosedForms:
 class TestDeterminismAndReplay:
     def test_same_path_same_bits(self):
         scenario = qubit_dephasing(t_end=0.5, steps=40)
-        path = sample_raw(scenario.grid, scenario.params, trajectory_seed(9, 0))
+        path = raw_path(scenario.grid, scenario.params, trajectory_seed(9, 0))
         r1 = evolve(scenario, path)
         r2 = evolve(scenario, path)
         assert np.array_equal(r1.final_state.amplitudes, r2.final_state.amplitudes)
@@ -198,7 +204,7 @@ def test_interaction_sample_recomputes_from_the_final_state():
         psi0=StateVector(np.array([0.6, 0.48, 0.64])),
         params=CollapseParams(lam=0.5),
         grid=TimeGrid(1.0, 30))
-    path = sample_raw(scenario.grid, scenario.params, trajectory_seed(12, 0))
+    path = raw_path(scenario.grid, scenario.params, trajectory_seed(12, 0))
     result = evolve(scenario, path)
     psi = result.final_state.normalized()
     a2_op = HermitianOperator(a_op.matrix @ a_op.matrix)
@@ -210,7 +216,7 @@ def test_interaction_sample_recomputes_from_the_final_state():
 class TestFieldEnergyEstimator:
     def test_matches_naive_two_sided_reference(self):
         scenario = qubit_dephasing(omega=1.2, lam=0.3, t_end=0.6, steps=30)
-        path = sample_raw(scenario.grid, scenario.params, trajectory_seed(13, 0))
+        path = raw_path(scenario.grid, scenario.params, trajectory_seed(13, 0))
         got = trajectory_field_energy(scenario, path, store_every=1)
 
         h = scenario.hamiltonian.matrix
@@ -238,7 +244,7 @@ class TestFieldEnergyEstimator:
 
     def test_checkpoint_stride_does_not_change_the_value(self):
         scenario = qubit_dephasing(t_end=0.8, steps=64)
-        path = sample_raw(scenario.grid, scenario.params, trajectory_seed(14, 0))
+        path = raw_path(scenario.grid, scenario.params, trajectory_seed(14, 0))
         dense = trajectory_field_energy(scenario, path, store_every=1)
         sparse = trajectory_field_energy(scenario, path)  # sqrt(S) checkpoints
         assert sparse == pytest.approx(dense, rel=1e-12)
@@ -259,7 +265,7 @@ def test_grid_and_dense_backends_agree():
         hamiltonian=HermitianOperator(info.dense_hamiltonian(params.hbar)),
         collapse_op=HermitianOperator(np.diag(x)),
         psi0=psi0, params=params, grid=grid)
-    path = sample_raw(grid, params, trajectory_seed(15, 0))
+    path = raw_path(grid, params, trajectory_seed(15, 0))
     rg = evolve(scenario_grid, path, record_series=True)
     rd = evolve(scenario_dense, path, record_series=True)
     assert rg.weight == pytest.approx(rd.weight, rel=1e-10)
