@@ -15,7 +15,12 @@ d^2 x d^2 matrix, its exponential over one step is formed once by Pade
 scaling and squaring, and its powers give the series; one exponential
 over the whole span checks the stepped end point.  The periodic grid is
 too large for that and uses a split-step integrator with a halving
-check on scalar energy channels.
+check on scalar energy channels.  Its kinetic step U rho U^dag runs
+every Fourier transform along the contiguous last axis: a pass over the
+rows gives S = rho U^dag, and since rho is Hermitian a second row pass
+over S^dag gives S^dag U^dag = U rho U^dag, in place between two
+preallocated buffers.  A halving check that fails while probability sits
+at the periodic seam fails at once and names the seam.
 
 Determinism: an ensemble is split into fixed-size chunks, each chunk is
 propagated as one batch, and partial sums are combined in chunk order
@@ -34,10 +39,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import LowEffectiveSampleError, NumericalFailure
-from .hilbert import HermitianOperator, StateVector, eigenvalue_groups, expm
+from .hilbert import StateVector, eigenvalue_groups, expm
 from .noise import TimeGrid, block_increments
 from .propagation import evolve_batch, field_energy_sweep, make_backend
-from .tolerances import ALGEBRA
+from .tolerances import ALGEBRA, SEAM_MASS
 from .trajectory import Scenario
 
 # Weighted statistics are refused below this effective sample size.
@@ -99,16 +104,6 @@ class DensityMatrix:
         rho = object.__new__(cls)
         object.__setattr__(rho, "entries", _checked_entries(np.outer(a, a.conj())))
         return rho
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
-
-    def expectation(self, op: HermitianOperator) -> float:
-        return float(np.trace(op.matrix @ self.entries).real)
-
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.entries, self.entries).real)
 
 
 @dataclass
@@ -514,38 +509,55 @@ def _grid_energy_weights(info, hbar: float) -> np.ndarray:
     return np.stack([h, h * np.subtract.outer(x, x) ** 2])
 
 
-def _grid_channels_once(scenario: Scenario, steps: int):
+def _kinetic_step(rho: np.ndarray, buf: np.ndarray, back: np.ndarray,
+                  scale: float) -> tuple:
+    """U (scale rho) U^dag for Hermitian ``rho``, U = F^-1 diag(phase) F,
+    ``back`` = conj(phase), with every transform along the last,
+    contiguous axis.
+
+    A row v of rho times U^dag is fft(back * ifft(v)), so one pass over
+    the rows gives S = rho U^dag; rho is Hermitian, so S^dag U^dag is
+    U rho U^dag, and a second row pass over the conjugate transpose of S
+    gives it.  Both passes work in place: ``rho`` ends up holding S and
+    ``buf`` the result.  Returns (result, spare buffer).
+    """
+    np.fft.ifft(rho, axis=-1, out=rho)
+    rho *= back * scale
+    np.fft.fft(rho, axis=-1, out=rho)
+    np.conjugate(rho.T, out=buf)
+    np.fft.ifft(buf, axis=-1, out=buf)
+    buf *= back
+    np.fft.fft(buf, axis=-1, out=buf)
+    return buf, rho
+
+
+def _grid_channels_once(scenario: Scenario, steps: int, weights: np.ndarray):
     """Split-step evolution of rho for the grid scenario.
 
-    The kinetic half/full steps are Fourier multipliers applied to both
-    indices; the collapse step is an exact elementwise factor
-    exp(-(lam dt / 2)(x_i - x_j)^2) which preserves the trace identically.
+    The kinetic half/full steps U rho U^dag are Fourier multipliers,
+    applied by :func:`_kinetic_step` along the contiguous axis only,
+    in place, between two preallocated N x N buffers.  The collapse step
+    is an exact elementwise factor exp(-(lam dt / 2)(x_i - x_j)^2) with
+    a unit diagonal: it leaves the trace unchanged, so the trace it
+    finds is divided out in the next kinetic step's first multiply.
     Energies are sampled on the staggered (half-shifted) matrix, which
     agrees with the on-grid value because the kinetic half step commutes
-    with H.  Returns (times, sys_energy, dc_trace, seam_mass_max, rho).
+    with H; ``weights`` are the :func:`_grid_energy_weights` of the grid.
+    Returns (times, sys_energy, dc_trace, seam_mass_max, rho).
     """
     info = scenario.grid_info
     params = scenario.params
-    t_end = scenario.grid.t_end
-    dt = t_end / steps
+    dt = scenario.grid.t_end / steps
     x = info.positions
     e = info.kinetic_energies(params.hbar)
-    hbar = params.hbar
-    lam = params.lam
 
     psi = scenario.psi0.amplitudes
     rho = np.outer(psi, psi.conj())
+    buf = np.empty_like(rho)
 
-    phase_full = np.exp(-1j * e * dt / hbar)
-    phase_half = np.exp(-1j * e * (0.5 * dt) / hbar)
-    decay = np.exp(-0.5 * lam * dt * np.subtract.outer(x, x) ** 2)
-
-    def kin(r, phase):
-        r = np.fft.ifft(phase[:, None] * np.fft.fft(r, axis=0), axis=0)
-        r = np.fft.fft(np.fft.ifft(r, axis=1) * phase.conj()[None, :], axis=1)
-        return r
-
-    weights = _grid_energy_weights(info, hbar)
+    back_full = np.exp(1j * e * dt / params.hbar)
+    back_half = np.exp(1j * e * (0.5 * dt) / params.hbar)
+    decay = np.exp(-0.5 * params.lam * dt * np.subtract.outer(x, x) ** 2)
 
     def channels(r):
         return np.einsum("kij,ij->k", weights, r.real)
@@ -559,19 +571,15 @@ def _grid_channels_once(scenario: Scenario, steps: int):
     sys_series = np.empty(sampled.size)
     dc_series = np.empty(sampled.size)
     seam_max = 0.0
-    pos = 0
 
     sys_series[0], dc_series[0] = channels(rho)
     pos = 1
-    rho = kin(rho, phase_half)
+    rho, buf = _kinetic_step(rho, buf, back_half, 1.0)
     for k in range(steps):
         rho *= decay
         tr = np.einsum("ii->", rho).real
-        rho /= tr
-        if k < steps - 1:
-            rho = kin(rho, phase_full)
-        else:
-            rho = kin(rho, phase_half)
+        back = back_full if k < steps - 1 else back_half
+        rho, buf = _kinetic_step(rho, buf, back, 1.0 / tr)
         if (k + 1) % stride == 0:
             sys_series[pos], dc_series[pos] = channels(rho)
             pos += 1
@@ -591,6 +599,14 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
     inputs are out of scope; the split-step path exists to keep the
     1024-point scenario tractable).  The halving check runs on the scalar
     channels rather than the matrices.
+
+    Raises
+    ------
+    NumericalFailure
+        At once when a halving check fails while more than
+        ``tolerances.SEAM_MASS`` of the probability sits at the periodic
+        seam (the periodic grid, not the step, is then at fault), and
+        otherwise when the check still fails at the refinement cap.
     """
     info = scenario.grid_info
     t_end_eff = scenario.grid.t_end if t_end is None else t_end
@@ -602,10 +618,11 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
     if float(np.abs(rho0.entries - ref).max()) > 1e-9:
         raise ValueError("grid evolution requires rho0 = |psi0><psi0|")
 
-    times, sys_c, dc_c, seam, rho = _grid_channels_once(scenario, steps_eff)
+    weights = _grid_energy_weights(info, scenario.params.hbar)
+    sys_c = _grid_channels_once(scenario, steps_eff, weights)[1]
     err = math.inf
     for _ in range(max_refine):
-        times2, sys2, dc2, seam2, rho2 = _grid_channels_once(scenario, 2 * steps_eff)
+        times2, sys2, dc2, seam2, rho2 = _grid_channels_once(scenario, 2 * steps_eff, weights)
         # With the fixed sampling stride both runs hit the same times;
         # in the fallback (every step sampled) the fine run is decimated.
         fine_shared = sys2 if sys2.size == sys_c.size else sys2[::2]
@@ -615,7 +632,12 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
             return LindbladSeries(times=times2, rhos=None, final_rho=rho2,
                                   achieved_halving_error=err,
                                   sys_energy=sys2, dc_trace=dc2, seam_mass_max=seam2)
-        times, sys_c, dc_c, seam, rho = times2, sys2, dc2, seam2, rho2
+        if seam2 > SEAM_MASS:
+            raise NumericalFailure(
+                f"grid evolution did not converge: probability mass {seam2:.3e} "
+                f"reached the periodic seam (limit {SEAM_MASS}); halving at "
+                f"{2 * steps_eff} steps moves the energy channel by {err:.3e}")
+        sys_c = sys2
         steps_eff *= 2
     raise NumericalFailure(
         f"grid evolution did not converge: halving at {steps_eff} steps "

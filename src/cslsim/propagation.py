@@ -85,12 +85,6 @@ class GridInfo:
         p = self.momenta(hbar)
         return p * p / (2.0 * self.mass)
 
-    def dense_hamiltonian(self, hbar: float) -> np.ndarray:
-        """Materialize the kinetic operator as a dense matrix (for traces)."""
-        e = self.kinetic_energies(hbar)
-        h = np.fft.ifft(e[:, None] * np.fft.fft(np.eye(self.n_points), axis=0), axis=0)
-        return 0.5 * (h + h.conj().T)
-
 
 class SpectralBackend:
     """Dense-operator backend built from the eigendecompositions of H and A."""

@@ -1,0 +1,129 @@
+"""The grid density-matrix integrator behind the free-particle ledger.
+
+Its kinetic step U rho U^dag transforms along the contiguous axis only
+and relies on rho being Hermitian.  It is checked against the dense
+product with U = expm(-iHt/hbar) (scipy as an oracle), and a whole run
+against the two-axis step it replaced.  The seam guard is checked on a
+packet that stays clear of the wrap-around edge and on one that reaches
+it.
+"""
+
+import numpy as np
+import pytest
+from oracles import dense_kinetic_hamiltonian
+from scipy.linalg import expm
+
+from cslsim import ensemble
+from cslsim.ensemble import DensityMatrix, grid_lindblad_channels
+from cslsim.errors import NumericalFailure
+from cslsim.propagation import GridInfo
+from cslsim.scenarios import free_particle_grid
+from cslsim.tolerances import SEAM_MASS
+
+# Both routes round differently; they must agree to near machine precision.
+MATCH = 1e-12
+
+
+def random_hermitian(rng, n):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return m @ m.conj().T / n
+
+
+def two_axis_step(rho, buf, back, scale):
+    """The previous kinetic step: column transforms for U rho, then row
+    transforms for (U rho) U^dag."""
+    phase = back.conj()
+    r = rho * scale
+    r = np.fft.ifft(phase[:, None] * np.fft.fft(r, axis=0), axis=0)
+    r = np.fft.fft(np.fft.ifft(r, axis=1) * back[None, :], axis=1)
+    return r, buf
+
+
+def spy_step_counts(monkeypatch):
+    """Record the step count of every split-step run."""
+    seen = []
+    once = ensemble._grid_channels_once
+
+    def spied(scenario, steps, *args):
+        seen.append(steps)
+        return once(scenario, steps, *args)
+
+    monkeypatch.setattr(ensemble, "_grid_channels_once", spied)
+    return seen
+
+
+@pytest.mark.parametrize("n_points", [64, 128])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_kinetic_step_matches_the_dense_product(n_points, scale):
+    info = GridInfo(n_points=n_points, dx=0.3, mass=1.3)
+    hbar, t = 0.8, 0.37
+    u = expm(-1j * dense_kinetic_hamiltonian(info, hbar) * t / hbar)
+    rho = random_hermitian(np.random.default_rng(n_points), n_points)
+    exact = scale * (u @ rho @ u.conj().T)
+    back = np.exp(1j * info.kinetic_energies(hbar) * t / hbar)
+    got, spare = ensemble._kinetic_step(rho.copy(), np.empty_like(rho), back, scale)
+    assert got.shape == spare.shape == rho.shape and got is not spare
+    assert np.abs(got - exact).max() <= MATCH * np.abs(exact).max()
+
+
+def test_whole_run_matches_the_two_axis_route(monkeypatch):
+    scenario = free_particle_grid(n_points=128, dx=0.3, sigma0=2.0, lam=0.05,
+                                  t_end=1.0, steps=64, x0=1.0, p0=0.7)
+    rho0 = DensityMatrix.from_state(scenario.psi0)
+    seen = spy_step_counts(monkeypatch)
+    new = grid_lindblad_channels(rho0, scenario)
+    new_steps = list(seen)
+    seen.clear()
+    monkeypatch.setattr(ensemble, "_kinetic_step", two_axis_step)
+    old = grid_lindblad_channels(rho0, scenario)
+    assert new_steps == seen == [64, 128]
+    np.testing.assert_array_equal(new.times, old.times)
+    for name in ("sys_energy", "dc_trace", "final_rho"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert np.abs(a - b).max() <= MATCH * np.abs(b).max(), name
+
+
+def test_every_transform_runs_along_the_last_axis_four_per_kinetic_step(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft"):
+        func = getattr(np.fft, name)
+
+        def recorded(a, *args, _func=func, **kwargs):
+            axis = kwargs.get("axis", args[1] if len(args) > 1 else -1)
+            calls.append(axis % np.ndim(a) == np.ndim(a) - 1)
+            return _func(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    seen = spy_step_counts(monkeypatch)
+    scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                  t_end=1.0, steps=32)
+    grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
+    assert seen == [32, 64]
+    # A run of s steps makes s + 1 kinetic steps: a half step, s - 1
+    # full steps and a closing half step.
+    assert len(calls) == 4 * sum(s + 1 for s in seen)
+    assert all(calls)
+
+
+def seam_probe(x0):
+    return free_particle_grid(n_points=256, dx=0.25, sigma0=2.0, lam=0.002,
+                              t_end=8.0, steps=32, x0=x0)
+
+
+def test_packet_clear_of_the_seam_converges(monkeypatch):
+    scenario = seam_probe(16.0)
+    seen = spy_step_counts(monkeypatch)
+    series = grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
+    assert seen == [32, 64]
+    assert 0.0 < series.seam_mass_max < SEAM_MASS
+    assert series.achieved_halving_error < 1e-6
+
+
+def test_mass_at_the_seam_fails_the_first_halving_naming_it(monkeypatch):
+    scenario = seam_probe(24.0)
+    seen = spy_step_counts(monkeypatch)
+    with pytest.raises(NumericalFailure, match=r"probability mass 2\.\d+e-02 "
+                                               r"reached the periodic seam"):
+        grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
+    # No refinement beyond the first halving.
+    assert seen == [32, 64]

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dense_kinetic_hamiltonian
 from scipy.linalg import expm
 
 from cslsim.hilbert import HermitianOperator, StateVector, expectation
@@ -262,7 +263,7 @@ def test_grid_and_dense_backends_agree():
     scenario_grid = Scenario(hamiltonian=None, collapse_op=None, psi0=psi0,
                              params=params, grid=grid, grid_info=info)
     scenario_dense = Scenario(
-        hamiltonian=HermitianOperator(info.dense_hamiltonian(params.hbar)),
+        hamiltonian=HermitianOperator(dense_kinetic_hamiltonian(info, params.hbar)),
         collapse_op=HermitianOperator(np.diag(x)),
         psi0=psi0, params=params, grid=grid)
     path = raw_path(grid, params, trajectory_seed(15, 0))
