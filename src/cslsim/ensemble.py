@@ -51,6 +51,11 @@ ESS_FLOOR = 100.0
 # Fraction of trajectories that must survive for a run to count.
 MIN_SUCCESS_FRACTION = 0.9
 
+# Step doublings the grid halving check may make before it gives up; the
+# one cap of both grid entry points (lindblad_propagate and
+# grid_lindblad_channels).
+GRID_MAX_REFINE = 4
+
 # Trajectories per batch.  Fixed per scenario dimension (never per worker
 # count) so that reduction order, and hence output bits, are stable.
 def _chunk_size(dim: int) -> int:
@@ -196,13 +201,17 @@ def _run_chunk(backend, scenario, indices, mode, master_seed,
         out["sum_f2"] = (f**2).sum()
 
     if record_series:
+        # The series are held step-major.  The sums over trajectories run on
+        # trajectory-major copies, so that they add whole rows in order; a
+        # sum along contiguous memory would pair terms and change the bits.
+        rows = np.ascontiguousarray
         if mode == "raw":
-            wt = np.where(ok[:, None], np.exp(batch.log_red_series), 0.0)
+            wt = np.where(ok[:, None], np.exp(rows(batch.log_red_series)), 0.0)
         else:
             wt = np.broadcast_to(ok[:, None].astype(float), (b, s + 1))
         out["sum_wt"] = wt.sum(axis=0)
-        out["sum_wA"] = (wt * batch.series_expA).sum(axis=0)
-        out["sum_wH"] = (wt * batch.series_expH).sum(axis=0)
+        out["sum_wA"] = (wt * rows(batch.series_expA)).sum(axis=0)
+        out["sum_wH"] = (wt * rows(batch.series_expH)).sum(axis=0)
 
     if keep_final_states:
         out["states"] = states
@@ -435,7 +444,7 @@ def _stepped_series(p: np.ndarray, v0: np.ndarray, n_out: int) -> np.ndarray:
 def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
                        t_end: Optional[float] = None, steps: Optional[int] = None,
                        halving_tol: Optional[float] = None,
-                       max_refine: int = 4) -> LindbladSeries:
+                       max_refine: int = GRID_MAX_REFINE) -> LindbladSeries:
     """Evolve ``rho`` under the deterministic ensemble equation.
 
     Dense scenarios use the exact propagator P = exp(L dt) of the
@@ -449,7 +458,9 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
     Grid scenarios dispatch to a split-step integrator that stores scalar
     channels instead of the (huge) matrix series and checks halving on
     those channels at quadrature tolerance by default, with at most
-    ``max_refine`` step doublings; see :func:`grid_lindblad_channels`.
+    ``max_refine`` step doublings (default ``GRID_MAX_REFINE``, the same
+    cap as a direct :func:`grid_lindblad_channels` call); see that
+    function.
 
     Raises
     ------
@@ -592,13 +603,16 @@ def _grid_channels_once(scenario: Scenario, steps: int, weights: np.ndarray):
 
 def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
                            t_end: Optional[float] = None, steps: Optional[int] = None,
-                           halving_tol: float = 1e-6, max_refine: int = 2) -> LindbladSeries:
+                           halving_tol: float = 1e-6,
+                           max_refine: int = GRID_MAX_REFINE) -> LindbladSeries:
     """Deterministic evolution for the periodic-grid particle.
 
     ``rho0`` must equal the scenario's pure initial state (mixed grid
     inputs are out of scope; the split-step path exists to keep the
     1024-point scenario tractable).  The halving check runs on the scalar
-    channels rather than the matrices.
+    channels rather than the matrices, with at most ``max_refine`` step
+    doublings (default ``GRID_MAX_REFINE``, the same cap as
+    :func:`lindblad_propagate`).
 
     Raises
     ------

@@ -36,6 +36,20 @@ on the grid).
 
 All randomness is injected by the caller as pre-drawn standardized
 increments, which keeps results independent of batching.
+
+Memory orders.  Every batch array keeps the trajectory-first shape its
+callers index, (B, d) for states, but the backend chooses how the array
+is laid out (``backend.empty``).  ``SpectralBackend`` holds a batch of
+states as C-order (d, B), so each numpy call of a step runs one long
+loop over the trajectories instead of B loops of length d;
+``GridBackend`` holds it as C-order (B, N), so every transform runs
+along a contiguous row.  Per-step arrays (field values, increments,
+log-norm and moment series) are held step-major, (S, B) in memory, so a
+step reads and writes one contiguous row, and stored states are held
+step-major too.  Dense products are row-major BLAS calls on the
+trajectory-first view, written back into the backend's layout: the
+column-major product G c on the (d, B) memory would round the last
+columns of a batch differently with the batch size.
 """
 
 from __future__ import annotations
@@ -105,6 +119,7 @@ class SpectralBackend:
         self._w = w
         self._a_plus = (w * self.coupling_values) @ w.conj().T
         self._h_tilde = (p * spec_h.eigenvalues) @ p.conj().T
+        self._g_adj = self._g.conj()
 
     def enter(self, psi: np.ndarray) -> tuple:
         """Internal state of the lab state ``psi`` before the first step,
@@ -127,11 +142,37 @@ class SpectralBackend:
         return (_normalized_populations(c @ self._w.conj()),
                 c @ (self._va @ self._w.conj().T).T)
 
+    def empty(self, b: int, lead: tuple = (), dtype=np.complex128) -> np.ndarray:
+        """An uninitialized batch array of shape (b, *lead, d), held as
+        C-order (*lead, d, b): the trajectory axis is contiguous."""
+        return np.moveaxis(np.empty(lead + (self.dim, b), dtype=dtype), -1, 0)
+
+    def _product(self, c: np.ndarray, right: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``c @ right`` in this backend's memory order, into ``out`` (which
+        may be ``c``) or a new array.
+
+        The product is the row-major call on the trajectory-first view, then
+        copied into place; ``matmul(..., out=...)`` on the trajectory-
+        contiguous memory would run the column-major product instead, whose
+        rounding depends on the batch size.
+        """
+        out = self.empty(c.shape[0]) if out is None else out
+        out[...] = c @ right
+        return out
+
+    @staticmethod
+    def norm2(c: np.ndarray) -> np.ndarray:
+        """Squared norms of the trajectories ``c``.  On this backend's memory
+        the sum over the state axis is not along contiguous memory, so numpy
+        adds it in index order, the order of the grid's ``norm2``."""
+        return _abs2(c).sum(axis=1)
+
     def transfer(self, c: np.ndarray) -> np.ndarray:
-        return c @ self._g.T
+        return self._product(c, self._g.T)
 
     def transfer_adjoint(self, c: np.ndarray) -> np.ndarray:
-        return c @ self._g.conj()
+        return self._product(c, self._g_adj)
 
     @staticmethod
     def _expect(c: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -146,10 +187,13 @@ class SpectralBackend:
         to the next step's frame (``c`` itself when ``transfer`` is false),
         ``mean_a`` the post-step <A> when ``coupling`` is set and ``mean_h``
         the <H> when ``energy`` is set; moments not asked for are None.
+        With ``transfer`` set, ``c`` is overwritten by the returned state.
         """
         mean_a = self._expect(c, self._a_plus) if coupling else None
         mean_h = self._expect(c, self._h_tilde) if energy else None
-        return (self.transfer(c) if transfer else c), mean_a, mean_h
+        if transfer:
+            self._product(c, self._g.T, out=c)
+        return c, mean_a, mean_h
 
     def pair_coupling_post(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.einsum("bi,bi->b", y.conj(), c @ self._a_plus.T)
@@ -166,6 +210,12 @@ class GridBackend:
         self._energies = e
         self._phase_full = np.exp(-1j * e * dt / hbar)
         self._phase_half = np.exp(-1j * e * (0.5 * dt) / hbar)
+
+    def empty(self, b: int, lead: tuple = (), dtype=np.complex128) -> np.ndarray:
+        """An uninitialized batch array of shape (b, *lead, N), held as
+        C-order (*lead, b, N): the grid axis is contiguous, as the
+        transforms need."""
+        return np.moveaxis(np.empty(lead + (b, self.dim), dtype=dtype), -2, 0)
 
     def _kinetic(self, c: np.ndarray, phase: np.ndarray) -> np.ndarray:
         f = np.fft.fft(c, axis=-1)
@@ -188,6 +238,12 @@ class GridBackend:
         both the lab states and their position populations."""
         lab = self._kinetic(c, self._phase_half)
         return _normalized_populations(lab), lab
+
+    @staticmethod
+    def norm2(c: np.ndarray) -> np.ndarray:
+        """Squared norms of the trajectories ``c``, summed along each row in
+        index order (a plain sum along contiguous memory would pair terms)."""
+        return np.einsum("bi,bi->b", c.conj(), c).real
 
     def transfer(self, c: np.ndarray) -> np.ndarray:
         return self._kinetic(c, self._phase_full)
@@ -255,6 +311,13 @@ class BatchResult:
     exp(log_red - sum_w2dt / (2 lam)).  ``interaction`` is the terminal
     interaction functional w_T <A> - 2 lam <A^2> in the final state,
     unweighted.
+
+    Shapes are trajectory-first; the memory orders are the kernel's.
+    ``final_internal`` and ``states`` are in the backend's order
+    (``backend.empty``): trajectory axis contiguous on the dense backend,
+    grid axis contiguous on the grid.  ``w`` and the series are transposed
+    views of step-major (S, B) and (S+1, B) arrays, and ``states`` holds
+    one (d, B) or (B, N) block per stored step.
     """
 
     final_internal: np.ndarray          # (B, d) normalized
@@ -268,6 +331,24 @@ class BatchResult:
     stored_steps: Optional[np.ndarray] = None     # (n_stored,) step indices
     series_expA: Optional[np.ndarray] = None      # (B, S+1)
     series_expH: Optional[np.ndarray] = None      # (B, S+1)
+
+
+def _normalize(c: np.ndarray, n2: np.ndarray) -> None:
+    """Divide every trajectory of ``c`` by the root of its squared norm
+    ``n2``, in place.  numpy would divide by the real r as a complex
+    division by r + 0i, which multiplies both parts by 1/r; multiplying by
+    1/r directly gives the same bits without the division's extra work."""
+    c *= (1.0 / np.sqrt(n2))[:, None]
+
+
+def _step_exponent(w_k: np.ndarray, a: np.ndarray, damp: np.ndarray, dt: float,
+                   out: np.ndarray) -> np.ndarray:
+    """The reduced step exponent dt (w_k a - lam a^2) of every trajectory,
+    written into ``out``."""
+    np.multiply(w_k[:, None], a, out=out)
+    out -= damp
+    out *= dt
+    return out
 
 
 def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarray,
@@ -289,6 +370,11 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     record_series : record per-step coupling mean and <H>
     store_every : if > 0, store every ``store_every``-th normalized state
         (plus the initial and final one) for later reverse sweeps
+
+    ``increments`` and ``given_w`` may have any memory order; step k reads
+    their column k, which is contiguous when they are transposed views of
+    step-major (S, B) arrays, as :func:`cslsim.noise.block_increments`
+    returns.  The results do not depend on the order.
 
     Notes
     -----
@@ -331,53 +417,57 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     cooked = mode == "cooked"
 
     c0, mean_a, mean_h = backend.enter(np.asarray(psi0, dtype=np.complex128))
-    c = np.tile(c0, (b, 1))
-    nrm = np.sqrt(np.einsum("bi,bi->b", c.conj(), c).real)
-    c /= nrm[:, None]
+    c = backend.empty(b)
+    c[...] = c0
+    _normalize(c, backend.norm2(c))
+    expo = backend.empty(b, dtype=float)
 
     log_red = np.zeros(b)
     sum_w2dt = np.zeros(b)
     failed = np.zeros(b, dtype=bool)
-    w_out = np.empty((b, s))
+    # Step-major: row k - 1 holds the field values of step k.
+    if cooked:
+        inc = increments.T
+        w_steps = np.empty((s, b))
+    else:
+        w_steps = np.array(given_w.T, dtype=float, order="C")
 
     want_states = store_every > 0
     if want_states:
         stored_steps = np.unique(np.concatenate([
             np.arange(0, s + 1, store_every), [0, s]]))
-        states = np.empty((b, stored_steps.size, d), dtype=np.complex128)
+        states = backend.empty(b, (stored_steps.size,))
         slot = {int(k): i for i, k in enumerate(stored_steps)}
-        states[:, slot[0], :] = c
-        log_series = np.zeros((b, s + 1))
+        states[:, slot[0]] = c
+        log_series = np.zeros((s + 1, b))
     else:
         stored_steps = None
         states = None
         slot = {}
-        log_series = np.zeros((b, s + 1)) if record_series else None
+        log_series = np.zeros((s + 1, b)) if record_series else None
 
     if record_series:
-        exp_a = np.empty((b, s + 1))
-        exp_h = np.empty((b, s + 1))
-        exp_a[:, 0] = mean_a
-        exp_h[:, 0] = mean_h
+        exp_a = np.empty((s + 1, b))
+        exp_h = np.empty((s + 1, b))
+        exp_a[0] = mean_a
+        exp_h[0] = mean_h
     else:
         exp_a = exp_h = None
 
     for k in range(1, s + 1):
+        wk = w_steps[k - 1]
         if cooked:
-            wk = 2.0 * lam * mean_a + increments[:, k - 1]
-        else:
-            wk = given_w[:, k - 1]
-        w_out[:, k - 1] = wk
+            np.add(2.0 * lam * mean_a, inc[k - 1], out=wk)
 
-        expo = dt * (wk[:, None] * a[None, :] - damp[None, :])
+        _step_exponent(wk, a, damp, dt, expo)
         # One max over the whole block is far cheaper than a reduction
-        # along the short row axis; rows are located only on overflow.
+        # along the short state axis; rows are located only on overflow.
         if expo.max() > EXP_LIMIT:
             bad = expo.max(axis=1) > EXP_LIMIT
             failed |= bad
             expo[bad] = 0.0
         c *= np.exp(expo, out=expo)
-        n2 = np.einsum("bi,bi->b", c.conj(), c).real
+        n2 = backend.norm2(c)
         dead = n2 == 0.0
         if dead.any():
             failed |= dead
@@ -385,39 +475,44 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
             c[dead] = 0.0
             c[dead, 0] = 1.0
         log_red += np.log(n2)
-        c /= np.sqrt(n2)[:, None]
+        _normalize(c, n2)
         sum_w2dt += wk * wk * dt
 
         if log_series is not None:
-            log_series[:, k] = log_red
+            log_series[k] = log_red
         if want_states and k in slot:
-            states[:, slot[k], :] = c
+            states[:, slot[k]] = c
         last = k == s
         if record_series or not last:
             c, mean_a, mean_h = backend.advance(
                 c, transfer=not last, coupling=record_series or cooked,
                 energy=record_series)
             if record_series:
-                exp_a[:, k] = mean_a
-                exp_h[:, k] = mean_h
+                exp_a[k] = mean_a
+                exp_h[k] = mean_h
 
     # The coupling is diagonal in the final internal frame, so both moments
-    # of the interaction functional are direct sums.
-    pops = _abs2(c)
-    interaction = w_out[:, -1] * (pops @ a) - 2.0 * lam * (pops @ (a * a))
+    # of the interaction functional are direct sums; the populations are
+    # laid out trajectory-first so these are the same BLAS calls whatever
+    # the backend's memory order.
+    pops = _abs2(c, out=np.empty((b, d)))
+    interaction = w_steps[-1] * (pops @ a) - 2.0 * lam * (pops @ (a * a))
+
+    def rows(steps):
+        return None if steps is None else steps.T
 
     return BatchResult(
         final_internal=c,
         log_red=log_red,
         sum_w2dt=sum_w2dt,
-        w=w_out,
+        w=w_steps.T,
         failed=failed,
         interaction=interaction,
-        log_red_series=log_series,
+        log_red_series=rows(log_series),
         states=states,
         stored_steps=stored_steps,
-        series_expA=exp_a,
-        series_expH=exp_h,
+        series_expA=rows(exp_a),
+        series_expH=rows(exp_h),
     )
 
 
@@ -433,7 +528,9 @@ def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams,
     is the midpoint (Stratonovich) convention for this discretization.
 
     Requires ``result`` to carry stored states; gaps between checkpoints
-    are recomputed forward from the nearest stored state.
+    are recomputed forward from the nearest stored state.  Works in the
+    memory orders of :class:`BatchResult`: one contiguous step row of the
+    field and log-norm series per step, states in the backend's order.
     """
     if result.states is None:
         raise ValueError("field_energy_sweep needs stored states")
@@ -446,9 +543,18 @@ def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams,
     if s < 2:
         return np.zeros(b)
 
-    stored = {int(k): result.states[:, i, :] for i, k in enumerate(result.stored_steps)}
-    log_series = result.log_red_series
-    w = result.w
+    stored = {int(k): result.states[:, i] for i, k in enumerate(result.stored_steps)}
+    log_series = result.log_red_series.T
+    w = result.w.T
+    expo = backend.empty(b, dtype=float)
+
+    def collapse(c: np.ndarray, k: int) -> np.ndarray:
+        """Apply the reduced factor of step k to ``c`` in place and
+        normalize it; returns the squared norm it had."""
+        c *= np.exp(_step_exponent(w[k - 1], a, damp, dt, expo), out=expo)
+        n2 = backend.norm2(c)
+        _normalize(c, n2)
+        return n2
 
     # Forward states between checkpoints are recomputed on demand, one
     # segment at a time, walking backwards over segments.
@@ -460,17 +566,13 @@ def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams,
             if k in stored:
                 c = stored[k]
             else:
-                if k > 1:
-                    c = backend.transfer(c)
-                expo = dt * (w[:, k - 1][:, None] * a[None, :] - damp[None, :])
-                c = c * np.exp(expo)
-                n2 = np.einsum("bi,bi->b", c.conj(), c).real
-                c = c / np.sqrt(n2)[:, None]
+                c = backend.transfer(c) if k > 1 else c.copy(order="K")
+                collapse(c, k)
             seg[k] = c
         return seg
 
     checkpoints = sorted(stored)
-    y = stored[s].copy()
+    y = stored[s].copy(order="K")
     log_y = result.log_red.copy()
     total = np.zeros(b)
 
@@ -479,11 +581,7 @@ def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams,
 
     for j in range(s - 1, 0, -1):
         # y currently holds xi(t_{j+1}) in the frame of step j+1
-        expo = dt * (w[:, j][:, None] * a[None, :] - damp[None, :])
-        y = y * np.exp(expo)
-        n2 = np.einsum("bi,bi->b", y.conj(), y).real
-        log_y += np.log(n2)
-        y = y / np.sqrt(n2)[:, None]
+        log_y += np.log(collapse(y, j + 1))
         y = backend.transfer_adjoint(y)
 
         while j < checkpoints[seg_idx]:
@@ -491,6 +589,6 @@ def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams,
             seg = segment_states(checkpoints[seg_idx], checkpoints[seg_idx + 1])
         phi = seg[j]
         pair = backend.pair_coupling_post(y, phi)
-        scale = np.exp(0.5 * (log_y + log_series[:, j]))
-        total += (w[:, j] - w[:, j - 1]) * (scale * pair.imag)
+        scale = np.exp(0.5 * (log_y + log_series[j]))
+        total += (w[j] - w[j - 1]) * (scale * pair.imag)
     return total

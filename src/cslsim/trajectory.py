@@ -195,24 +195,6 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
     return result
 
 
-def trajectory_field_energy(scenario: Scenario, path: NoisePath, *,
-                            store_every: int = 0) -> float:
-    """Per-path field-energy estimator via forward/backward sweeps.
-
-    Pairs each interior field jump (w_{k+1} - w_k) with the imaginary part
-    of the mixed matrix element of the coupling between the forward state
-    and the adjoint back-propagated final state, both evaluated at the
-    jump time.  The mean over raw-measure paths is the deterministic
-    field energy at time T; individual samples are not sign-definite.
-
-    ``store_every`` controls the checkpoint stride for stored states
-    (default: about sqrt(steps), recomputing between checkpoints).
-    """
-    result = evolve(scenario, path, record_series=False,
-                    store_every=store_every, with_field_energy=True)
-    return float(result.field_energy_sample)
-
-
 def collapse_metrics(psi: StateVector, coupling: HermitianOperator) -> CollapseMetrics:
     """Distance of a state from the nearest collapse outcome.
 

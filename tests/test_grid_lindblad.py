@@ -5,8 +5,11 @@ and relies on rho being Hermitian.  It is checked against the dense
 product with U = expm(-iHt/hbar) (scipy as an oracle), and a whole run
 against the two-axis step it replaced.  The seam guard is checked on a
 packet that stays clear of the wrap-around edge and on one that reaches
-it.
+it, and the halving check on a run that converges only after one
+refinement.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from oracles import dense_kinetic_hamiltonian
 from scipy.linalg import expm
 
 from cslsim import ensemble
-from cslsim.ensemble import DensityMatrix, grid_lindblad_channels
+from cslsim.ensemble import (GRID_MAX_REFINE, DensityMatrix, grid_lindblad_channels,
+                             lindblad_propagate)
 from cslsim.errors import NumericalFailure
 from cslsim.propagation import GridInfo
 from cslsim.scenarios import free_particle_grid
@@ -127,3 +131,36 @@ def test_mass_at_the_seam_fails_the_first_halving_naming_it(monkeypatch):
         grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
     # No refinement beyond the first halving.
     assert seen == [32, 64]
+
+
+def test_halving_that_converges_after_one_refinement_reports_the_refined_run(monkeypatch):
+    scenario = seam_probe(16.0)
+    rho0 = DensityMatrix.from_state(scenario.psi0)
+    t_end = scenario.grid.t_end
+
+    def single_halving(steps):
+        return grid_lindblad_channels(rho0, scenario, steps=steps, halving_tol=1.0,
+                                      max_refine=1)
+
+    # The halving error falls from about 2.9e-8 (16 against 32 steps) to
+    # about 1.4e-8 (32 against 64), so a tolerance of 2e-8 needs exactly
+    # one refinement.
+    tol = 2e-8
+    assert single_halving(16).achieved_halving_error > tol
+    fine = single_halving(32)
+    assert fine.achieved_halving_error < tol
+
+    seen = spy_step_counts(monkeypatch)
+    series = grid_lindblad_channels(rho0, scenario, steps=16, halving_tol=tol)
+    assert seen == [16, 32, 64]
+    np.testing.assert_array_equal(series.times, np.arange(65) * (t_end / 64))
+    assert series.sys_energy.size == 65
+    # The accuracy figure is the 32-against-64 comparison, not one against
+    # the first, coarsest run.
+    assert series.achieved_halving_error == fine.achieved_halving_error
+    np.testing.assert_array_equal(series.sys_energy, fine.sys_energy)
+
+
+def test_both_grid_entry_points_share_one_refinement_cap():
+    for entry in (lindblad_propagate, grid_lindblad_channels):
+        assert inspect.signature(entry).parameters["max_refine"].default == GRID_MAX_REFINE

@@ -1,5 +1,5 @@
-"""The batched propagation kernel: its work per step and the frame identity
-it relies on.
+"""The batched propagation kernel: its work per step, its memory layout and
+the frame identity it relies on.
 
 After each step the kernel evaluates <A> once, in the post-step frame, and
 uses it both as the series entry and as the next step's cooked drift.  The
@@ -11,17 +11,22 @@ backend, then the plain position or eigenvalue average.
 
 import numpy as np
 import pytest
+from oracles import RowMajorSpectral, row_major_evolve, row_major_field_energy
 from scipy.linalg import expm
 
 from cslsim.ensemble import run_ensemble
 from cslsim.errors import NumericalFailure
 from cslsim.hilbert import HermitianOperator, StateVector
-from cslsim.noise import CollapseParams, NoisePath, TimeGrid
-from cslsim.propagation import GridBackend, SpectralBackend, evolve_batch, make_backend
-from cslsim.scenarios import free_particle_grid, random_dense
+from cslsim.noise import CollapseParams, NoisePath, TimeGrid, block_increments
+from cslsim.propagation import (GridBackend, SpectralBackend, evolve_batch,
+                                field_energy_sweep, make_backend)
+from cslsim.scenarios import free_particle_grid, qubit_dephasing, random_dense
 from cslsim.trajectory import Scenario, evolve
 
 DRIFT_MATCH = 1e-12
+
+BATCH_FIELDS = ("final_internal", "log_red", "sum_w2dt", "w", "failed", "interaction",
+                "log_red_series", "states", "stored_steps", "series_expA", "series_expH")
 
 
 def random_states(rng, b, d):
@@ -168,3 +173,74 @@ def test_reused_drift_equals_the_pre_step_mean_after_transfer(kind):
     assert mean_h is None
     np.testing.assert_allclose(mean_a, expected, rtol=0.0, atol=DRIFT_MATCH)
     np.testing.assert_allclose(state, moved, rtol=0.0, atol=DRIFT_MATCH)
+
+
+@pytest.mark.parametrize("kind", ["dense", "grid"])
+def test_field_values_give_the_same_bits_in_either_memory_order(kind):
+    if kind == "dense":
+        scenario = random_dense(71, dim=8, lam=0.3, t_end=1.0, steps=24)
+    else:
+        scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                      t_end=0.5, steps=16)
+    grid = scenario.grid
+    backend = make_backend(scenario, grid.dt)
+    step_major = 2.0 * np.random.default_rng(5).standard_normal((grid.steps, 37))
+
+    def run(given_w):
+        return evolve_batch(backend, grid, scenario.params, scenario.psi0.amplitudes,
+                            mode="raw", given_w=given_w, record_series=True,
+                            store_every=5)
+
+    rows = run(np.ascontiguousarray(step_major.T))
+    steps = run(step_major.T)
+    for name in BATCH_FIELDS:
+        assert np.array_equal(getattr(rows, name), getattr(steps, name)), name
+    # The layouts the kernel promises: step-major series, and states with
+    # the trajectory axis (dense) or the grid axis (grid) contiguous.
+    for series in (steps.w, steps.log_red_series, steps.series_expA, steps.series_expH):
+        assert series.T.flags.c_contiguous
+    contiguous = 0 if kind == "dense" else 1
+    assert steps.final_internal.strides[contiguous] == steps.final_internal.itemsize
+    assert steps.states[:, 2].strides[contiguous] == steps.states.itemsize
+
+
+def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
+    scenario = random_dense(72, dim=8, lam=0.3, t_end=1.0, steps=40)
+    grid, params = scenario.grid, scenario.params
+    backend = make_backend(scenario, grid.dt)
+    oracle = RowMajorSpectral(scenario.hamiltonian, scenario.collapse_op, grid.dt,
+                              params.hbar)
+    # 300 rows: not a multiple of any BLAS blocking.
+    draws = block_increments(grid, params, 9, np.arange(300))
+    got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, mode="cooked",
+                       increments=draws, record_series=True, store_every=7)
+    want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes,
+                            mode="cooked", draws=np.ascontiguousarray(draws),
+                            record_series=True, store_every=7)
+    for name, value in want.items():
+        assert np.array_equal(getattr(got, name), value), name
+    for ours, theirs in zip(backend.read_out(got.final_internal),
+                            oracle.read_out(want["final_internal"])):
+        assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("store_every", [1, 7])
+def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit(store_every):
+    # Every 7th of 50 steps is about the sqrt(S) default; the sweep then
+    # recomputes the states between checkpoints, repeating the forward
+    # arithmetic exactly.
+    scenario = qubit_dephasing(omega=1.0, lam=0.2, t_end=1.0, steps=50)
+    grid, params = scenario.grid, scenario.params
+    backend = make_backend(scenario, grid.dt)
+    oracle = RowMajorSpectral(scenario.hamiltonian, scenario.collapse_op, grid.dt,
+                              params.hbar)
+    draws = block_increments(grid, params, 10, np.arange(300))
+    got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, mode="raw",
+                       given_w=draws, store_every=store_every)
+    want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes, mode="raw",
+                            draws=np.ascontiguousarray(draws), store_every=1)
+    for name in ("final_internal", "log_red", "sum_w2dt", "w", "interaction",
+                 "log_red_series"):
+        assert np.array_equal(getattr(got, name), want[name]), name
+    assert np.array_equal(field_energy_sweep(backend, grid, params, got),
+                          row_major_field_energy(oracle, grid, params, want))

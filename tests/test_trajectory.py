@@ -19,8 +19,7 @@ from cslsim.noise import (CollapseParams, NoisePath, TimeGrid, standard_incremen
                           trajectory_seed)
 from cslsim.propagation import GridInfo
 from cslsim.scenarios import qubit_dephasing, two_level_collapse
-from cslsim.trajectory import (Scenario, collapse_metrics, evolve,
-                               trajectory_field_energy)
+from cslsim.trajectory import Scenario, collapse_metrics, evolve
 
 # Single-path agreement between the kernel and the expm reference.
 PATH_MATCH = 1e-11
@@ -218,7 +217,8 @@ class TestFieldEnergyEstimator:
     def test_matches_naive_two_sided_reference(self):
         scenario = qubit_dephasing(omega=1.2, lam=0.3, t_end=0.6, steps=30)
         path = raw_path(scenario.grid, scenario.params, trajectory_seed(13, 0))
-        got = trajectory_field_energy(scenario, path, store_every=1)
+        got = evolve(scenario, path, record_series=False, store_every=1,
+                     with_field_energy=True).field_energy_sample
 
         h = scenario.hamiltonian.matrix
         a = scenario.collapse_op.matrix
@@ -246,8 +246,11 @@ class TestFieldEnergyEstimator:
     def test_checkpoint_stride_does_not_change_the_value(self):
         scenario = qubit_dephasing(t_end=0.8, steps=64)
         path = raw_path(scenario.grid, scenario.params, trajectory_seed(14, 0))
-        dense = trajectory_field_energy(scenario, path, store_every=1)
-        sparse = trajectory_field_energy(scenario, path)  # sqrt(S) checkpoints
+        dense = evolve(scenario, path, record_series=False, store_every=1,
+                       with_field_energy=True).field_energy_sample
+        # store_every=0 picks about sqrt(S) checkpoints.
+        sparse = evolve(scenario, path, record_series=False,
+                        with_field_energy=True).field_energy_sample
         assert sparse == pytest.approx(dense, rel=1e-12)
 
 
