@@ -14,13 +14,15 @@ Dense scenarios are evolved exactly: the Liouvillian is a fixed
 d^2 x d^2 matrix, its exponential over one step is formed once by Pade
 scaling and squaring, and its powers give the series; one exponential
 over the whole span checks the stepped end point.  The periodic grid is
-too large for that and uses a split-step integrator with a halving
-check on scalar energy channels.  Its kinetic step U rho U^dag runs
-every Fourier transform along the contiguous last axis: a pass over the
-rows gives S = rho U^dag, and since rho is Hermitian a second row pass
-over S^dag gives S^dag U^dag = U rho U^dag, in place between two
-preallocated buffers.  A halving check that fails while probability sits
-at the periodic seam fails at once and names the seam.
+too large for that.  Its energy channels read only the kappa = 0
+momentum sector of rho, which evolves in closed form, so the grid
+ledger needs no integrator.  Its final rho comes from a split-step
+integrator with a halving check on that final rho.  The kinetic step
+U rho U^dag runs every Fourier transform along the contiguous last
+axis: a pass over the rows gives S = rho U^dag, and since rho is
+Hermitian a second row pass over S^dag gives S^dag U^dag = U rho U^dag,
+in place between two preallocated buffers.  Probability at the periodic
+seam fails a run and is named.
 
 Determinism: an ensemble is split into fixed-size chunks, each chunk is
 propagated as one batch, and partial sums are combined in chunk order
@@ -370,26 +372,23 @@ class LindbladSeries:
     scenario only scalar channels are stored (the matrices would be
     prohibitively large): the system energy Tr(H rho), the
     double-commutator trace Tr([A,[A,H]] rho) feeding the field-energy
-    quadrature, and the final matrix.  All matrices are lab frame.
+    quadrature, and the final matrix (None in a channels-only series from
+    :func:`grid_energy_channels`).  All matrices are lab frame.
 
-    ``achieved_halving_error`` is the accuracy figure of the run.  Dense:
-    the largest entry difference between the stepped final rho and one
-    exp(L t_end) rho0, relative to the largest entry (at least 1).  Grid:
-    the change of the energy channel between the last two step counts of
-    the halving check, relative to its largest value (at least 1).
+    ``achieved_halving_error`` is the accuracy figure of the run: the
+    largest entry difference between the final rho and a reference,
+    relative to the largest entry (at least 1).  The reference is one
+    exp(L t_end) rho0 (dense) or the grid run at half the step count;
+    without a final rho the figure is None.
     """
 
     times: np.ndarray
     rhos: Optional[np.ndarray]
-    final_rho: np.ndarray
-    achieved_halving_error: float
+    final_rho: Optional[np.ndarray]
+    achieved_halving_error: Optional[float]
     sys_energy: Optional[np.ndarray] = None
     dc_trace: Optional[np.ndarray] = None
     seam_mass_max: Optional[float] = None
-
-    @property
-    def dim(self) -> int:
-        return self.final_rho.shape[0]
 
 
 def _liouvillian(scenario: Scenario) -> np.ndarray:
@@ -455,12 +454,12 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
     largest entry, at least 1); it must stay below ``halving_tol``
     (default 1e-8).  ``max_refine`` does not apply.
 
-    Grid scenarios dispatch to a split-step integrator that stores scalar
-    channels instead of the (huge) matrix series and checks halving on
-    those channels at quadrature tolerance by default, with at most
-    ``max_refine`` step doublings (default ``GRID_MAX_REFINE``, the same
-    cap as a direct :func:`grid_lindblad_channels` call); see that
-    function.
+    Grid scenarios dispatch to a split-step integrator that keeps the
+    final rho and scalar energy channels instead of the (huge) matrix
+    series, and checks halving on the final rho (``halving_tol`` default
+    1e-6), with at most ``max_refine`` step doublings (default
+    ``GRID_MAX_REFINE``, the same cap as a direct
+    :func:`grid_lindblad_channels` call); see that function.
 
     Raises
     ------
@@ -496,28 +495,63 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
                           final_rho=final.entries, achieved_halving_error=err)
 
 
-# Number of channel samples kept along a grid evolution; fixed so that
-# runs at different step counts sample the same times and stay comparable.
+# The grid channels are read at _GRID_SAMPLES + 1 evenly spaced times, the
+# spacing the ledger's decimation check and slope fit are sized for.
 _GRID_SAMPLES = 64
 
 
-def _grid_energy_weights(info, hbar: float) -> np.ndarray:
-    """Real (2, N, N) weights W with Tr(H rho) = sum W[0] * Re rho and
-    Tr([A,[A,H]] rho) = sum W[1] * Re rho for Hermitian rho on the grid.
+def grid_energy_channels(scenario: Scenario) -> LindbladSeries:
+    """Tr(H rho_t) and Tr([A,[A,H]] rho_t) of the grid scenario in closed
+    form, at _GRID_SAMPLES + 1 evenly spaced times over [0, t_end].
 
-    The kinetic H is circulant, H_ij = c[(i - j) mod N] with
-    c = ifft(e), and real symmetric because the energies e are even in
-    the momentum; so only Re rho enters.  For the position coupling,
-    [A,[A,H]]_ij = (x_i - x_j)^2 H_ij.  c is summed directly in cosines,
-    which keeps the evolution's transforms to its kinetic steps.
+    Both operators are circulant (H_ij = c[(i - j) mod N], c = ifft(e);
+    [A,[A,H]]_ij = (d dx)^2 H_ij, d the minimum-image offset i - j), so
+    they read only the kappa = 0 sector of rho (the p = p' momentum
+    diagonal): the sums R(d) = sum_i rho(i + d, i).  The kinetic
+    evolution leaves R unchanged and the collapse on the ring multiplies
+    it by exp(-lam t (d dx)^2 / 2), from R_0 = ifft(|fft psi0|^2).
+
+    The seam mass is estimated without rho: the free density
+    |psi_free(t)|^2 convolved with a Gaussian of variance
+    lam hbar^2 t^3 / (3 m^2), the momentum diffusion (Bassi, J. Phys. A 38
+    (2005) 3173); its largest edge mass over the samples is
+    ``seam_mass_max``.  The series has no final rho.
+
+    Raises
+    ------
+    NumericalFailure
+        If that estimate exceeds ``tolerances.SEAM_MASS``.
     """
-    n = info.n_points
-    idx = np.arange(n)
-    e = info.kinetic_energies(hbar)
-    c = np.cos((2.0 * np.pi / n) * (np.outer(idx, idx) % n)) @ e / n
-    h = c[np.subtract.outer(idx, idx) % n]
-    x = info.positions
-    return np.stack([h, h * np.subtract.outer(x, x) ** 2])
+    info = scenario.grid_info
+    params = scenario.params
+    n, margin = info.n_points, info.seam_margin
+    times = np.linspace(0.0, scenario.grid.t_end, _GRID_SAMPLES + 1)
+    e = info.kinetic_energies(params.hbar)
+    spectrum = np.fft.fft(scenario.psi0.amplitudes)
+
+    r0 = np.fft.ifft(np.abs(spectrum) ** 2)
+    d = np.arange(n)
+    xd2 = (np.where(d > n // 2, d - n, d) * info.dx) ** 2
+    weighted = np.fft.ifft(e) * r0.conj()
+    decay = np.exp(-0.5 * params.lam * np.outer(times, xd2))
+    sys_energy = (decay @ weighted).real
+    dc_trace = (decay @ (xd2 * weighted)).real
+
+    free = np.fft.ifft(spectrum * np.exp(-1j * np.outer(times, e) / params.hbar))
+    k = info.momenta(params.hbar) / params.hbar
+    var = params.lam * params.hbar**2 * times**3 / (3.0 * info.mass**2)
+    density = np.fft.ifft(np.fft.fft(np.abs(free) ** 2)
+                          * np.exp(-0.5 * np.outer(var, k * k))).real
+    seam = float((density[:, :margin].sum(axis=1)
+                  + density[:, n - margin:].sum(axis=1)).max())
+    if seam > SEAM_MASS:
+        raise NumericalFailure(
+            f"grid evolution not trusted: probability mass {seam:.3e} reached "
+            f"the periodic seam (limit {SEAM_MASS}), estimated from the free "
+            f"spread and the momentum diffusion")
+    return LindbladSeries(times=times, rhos=None, final_rho=None,
+                          achieved_halving_error=None, sys_energy=sys_energy,
+                          dc_trace=dc_trace, seam_mass_max=seam)
 
 
 def _kinetic_step(rho: np.ndarray, buf: np.ndarray, back: np.ndarray,
@@ -542,7 +576,7 @@ def _kinetic_step(rho: np.ndarray, buf: np.ndarray, back: np.ndarray,
     return buf, rho
 
 
-def _grid_channels_once(scenario: Scenario, steps: int, weights: np.ndarray):
+def _grid_channels_once(scenario: Scenario, steps: int):
     """Split-step evolution of rho for the grid scenario.
 
     The kinetic half/full steps U rho U^dag are Fourier multipliers,
@@ -551,10 +585,9 @@ def _grid_channels_once(scenario: Scenario, steps: int, weights: np.ndarray):
     is an exact elementwise factor exp(-(lam dt / 2)(x_i - x_j)^2) with
     a unit diagonal: it leaves the trace unchanged, so the trace it
     finds is divided out in the next kinetic step's first multiply.
-    Energies are sampled on the staggered (half-shifted) matrix, which
-    agrees with the on-grid value because the kinetic half step commutes
-    with H; ``weights`` are the :func:`_grid_energy_weights` of the grid.
-    Returns (times, sys_energy, dc_trace, seam_mass_max, rho).
+    Returns (seam_mass_max, rho): the largest probability within
+    ``seam_margin`` points of the periodic seam after any step, and the
+    final rho.
     """
     info = scenario.grid_info
     params = scenario.params
@@ -570,35 +603,21 @@ def _grid_channels_once(scenario: Scenario, steps: int, weights: np.ndarray):
     back_half = np.exp(1j * e * (0.5 * dt) / params.hbar)
     decay = np.exp(-0.5 * params.lam * dt * np.subtract.outer(x, x) ** 2)
 
-    def channels(r):
-        return np.einsum("kij,ij->k", weights, r.real)
-
     n_band = info.seam_margin
     edge = np.concatenate([np.arange(n_band), np.arange(info.n_points - n_band, info.n_points)])
-
-    stride = steps // _GRID_SAMPLES if steps % _GRID_SAMPLES == 0 else 1
-    sampled = np.arange(0, steps + 1, stride)
-    times = sampled * dt
-    sys_series = np.empty(sampled.size)
-    dc_series = np.empty(sampled.size)
     seam_max = 0.0
 
-    sys_series[0], dc_series[0] = channels(rho)
-    pos = 1
     rho, buf = _kinetic_step(rho, buf, back_half, 1.0)
     for k in range(steps):
         rho *= decay
         tr = np.einsum("ii->", rho).real
         back = back_full if k < steps - 1 else back_half
         rho, buf = _kinetic_step(rho, buf, back, 1.0 / tr)
-        if (k + 1) % stride == 0:
-            sys_series[pos], dc_series[pos] = channels(rho)
-            pos += 1
         mass = float(np.einsum("ii->i", rho).real[edge].sum())
         seam_max = max(seam_max, mass)
 
     rho = 0.5 * (rho + rho.conj().T)
-    return times, sys_series, dc_series, seam_max, rho
+    return seam_max, rho
 
 
 def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
@@ -608,21 +627,23 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
     """Deterministic evolution for the periodic-grid particle.
 
     ``rho0`` must equal the scenario's pure initial state (mixed grid
-    inputs are out of scope; the split-step path exists to keep the
-    1024-point scenario tractable).  The halving check runs on the scalar
-    channels rather than the matrices, with at most ``max_refine`` step
-    doublings (default ``GRID_MAX_REFINE``, the same cap as
-    :func:`lindblad_propagate`).
+    inputs are out of scope).  The split-step integrator gives the final
+    rho; the halving check compares the final rho of successive step
+    counts, with at most ``max_refine`` step doublings (default
+    ``GRID_MAX_REFINE``, the same cap as :func:`lindblad_propagate`).
+    The energy channels come from :func:`grid_energy_channels`, and
+    ``seam_mass_max`` is the one the split-step measured.
 
     Raises
     ------
     NumericalFailure
         At once when a halving check fails while more than
         ``tolerances.SEAM_MASS`` of the probability sits at the periodic
-        seam (the periodic grid, not the step, is then at fault), and
-        otherwise when the check still fails at the refinement cap.
+        seam (the periodic grid, not the step, is then at fault);
+        otherwise when the check still fails at the refinement cap; and
+        when :func:`grid_energy_channels` refuses the run for its seam
+        mass.
     """
-    info = scenario.grid_info
     t_end_eff = scenario.grid.t_end if t_end is None else t_end
     steps_eff = scenario.grid.steps if steps is None else steps
     if t_end_eff != scenario.grid.t_end:
@@ -632,27 +653,22 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
     if float(np.abs(rho0.entries - ref).max()) > 1e-9:
         raise ValueError("grid evolution requires rho0 = |psi0><psi0|")
 
-    weights = _grid_energy_weights(info, scenario.params.hbar)
-    sys_c = _grid_channels_once(scenario, steps_eff, weights)[1]
+    rho_c = _grid_channels_once(scenario, steps_eff)[1]
     err = math.inf
     for _ in range(max_refine):
-        times2, sys2, dc2, seam2, rho2 = _grid_channels_once(scenario, 2 * steps_eff, weights)
-        # With the fixed sampling stride both runs hit the same times;
-        # in the fallback (every step sampled) the fine run is decimated.
-        fine_shared = sys2 if sys2.size == sys_c.size else sys2[::2]
-        scale = max(float(np.abs(sys2).max()), 1.0)
-        err = float(np.abs(fine_shared - sys_c).max()) / scale
+        seam2, rho2 = _grid_channels_once(scenario, 2 * steps_eff)
+        scale = max(float(np.abs(rho2).max()), 1.0)
+        err = float(np.abs(rho2 - rho_c).max()) / scale
         if err < halving_tol:
-            return LindbladSeries(times=times2, rhos=None, final_rho=rho2,
-                                  achieved_halving_error=err,
-                                  sys_energy=sys2, dc_trace=dc2, seam_mass_max=seam2)
+            return replace(grid_energy_channels(scenario), final_rho=rho2,
+                           achieved_halving_error=err, seam_mass_max=seam2)
         if seam2 > SEAM_MASS:
             raise NumericalFailure(
                 f"grid evolution did not converge: probability mass {seam2:.3e} "
                 f"reached the periodic seam (limit {SEAM_MASS}); halving at "
-                f"{2 * steps_eff} steps moves the energy channel by {err:.3e}")
-        sys_c = sys2
+                f"{2 * steps_eff} steps moves the final density matrix by {err:.3e}")
+        rho_c = rho2
         steps_eff *= 2
     raise NumericalFailure(
         f"grid evolution did not converge: halving at {steps_eff} steps "
-        f"still moves the energy channel by {err:.3e}")
+        f"still moves the final density matrix by {err:.3e}")

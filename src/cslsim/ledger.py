@@ -23,9 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import DensityMatrix, LindbladSeries, lindblad_propagate
+from .ensemble import (DensityMatrix, LindbladSeries, grid_energy_channels,
+                       lindblad_propagate)
 from .errors import NumericalFailure
-from .hilbert import HermitianOperator, double_commutator, interaction_picture
+from .hilbert import HermitianOperator, double_commutator
 from .tolerances import QUADRATURE
 from .trajectory import Scenario
 
@@ -106,9 +107,13 @@ def build_ledger(scenario: Scenario, *, steps: Optional[int] = None,
     """Assemble the full ledger for a scenario.
 
     Runs the deterministic evolution from the scenario's pure initial
-    state unless a precomputed ``series`` is supplied.
+    state unless a precomputed ``series`` is supplied.  Grid scenarios
+    take their exact channels from :func:`grid_energy_channels` instead,
+    so ``steps`` does not apply to them.
     """
-    if series is None:
+    if series is None and scenario.grid_info is not None:
+        series = grid_energy_channels(scenario)
+    elif series is None:
         rho0 = DensityMatrix.from_state(scenario.psi0)
         series = lindblad_propagate(rho0, scenario, steps=steps)
     sys_series = system_energy(series, scenario.hamiltonian)
@@ -155,17 +160,3 @@ def observable_drift(q: HermitianOperator, scenario: Scenario,
     trace = np.einsum("mn,tmn,tnm->t", q_eig, phases, dc_eig)
     return -0.5 * scenario.params.lam * trace.real
 
-
-def rotating_expectation(q: HermitianOperator, scenario: Scenario,
-                         series: LindbladSeries) -> np.ndarray:
-    """Tr(q rho_I(t)): the rotating-frame expectation whose derivative
-    :func:`observable_drift` predicts."""
-    if series.rhos is None:
-        raise ValueError("rotating expectation needs a dense series")
-    h = scenario.hamiltonian
-    hbar = scenario.params.hbar
-    out = np.empty(series.times.size)
-    for i, t in enumerate(series.times):
-        q_rot = interaction_picture(q, h, -t / hbar)
-        out[i] = float(np.einsum("ij,ji->", series.rhos[i], q_rot.matrix).real)
-    return out

@@ -28,16 +28,10 @@ trajectory of an ensemble can be replayed on its own.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-
-# Discretization validity: a step must not let the collapse exponent
-# explore the full spectral range of the coupling in one go.  Warn when
-# dt * lam * (spectral range)^2 exceeds this.
-VALIDITY_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -87,22 +81,6 @@ class TimeGrid:
     def midpoints(self) -> np.ndarray:
         """Interval midpoints, where the evolution evaluates operators."""
         return (np.arange(self.steps) + 0.5) * self.dt
-
-    def check_validity(self, lam: float, spectral_range: float) -> float:
-        """Warn if the step size is too coarse for the collapse strength.
-
-        Returns the dimensionless figure dt * lam * range^2; values that
-        are not small mean a single step can resolve the full coupling
-        spectrum and the step-function representation of w is suspect.
-        """
-        figure = self.dt * lam * spectral_range**2
-        if figure > VALIDITY_THRESHOLD:
-            warnings.warn(
-                f"coarse time step: dt*lam*range^2 = {figure:.3g} exceeds "
-                f"{VALIDITY_THRESHOLD}; collapse discretization may be inaccurate",
-                stacklevel=2,
-            )
-        return figure
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,10 +9,10 @@ checks state their bands in standard errors where they are made):
 * algebraic identities between exactly representable objects: ``ALGEBRA``
 * deterministic quadrature / integration results: ``QUADRATURE``
 
-``SEAM_MASS`` is not a rung but a diagnosis threshold: the probability
-within ``seam_margin`` points of the periodic grid's wrap-around edge
-above which a failed grid halving check is blamed on the seam rather
-than on the step.
+``SEAM_MASS`` is not a rung but a diagnosis threshold on the probability
+within ``seam_margin`` points of the periodic grid's wrap-around edge:
+above it a failed grid halving check is blamed on the seam, not the
+step, and the closed-form grid channels refuse the run.
 """
 
 CONSTRUCTION = 1e-12

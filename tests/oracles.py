@@ -3,10 +3,14 @@
 The package never materializes the grid's kinetic operator: it applies
 it as a Fourier multiplier.  The tests build it densely, once, to check
 that route against plain matrix products.  The dense propagation kernel
-is checked against its earlier row-major form, kept here.
+is checked against its earlier row-major form, kept here, and the
+ledger's drift formula against the rotating-frame expectation it
+differentiates.
 """
 
 import numpy as np
+
+from cslsim.hilbert import interaction_picture
 
 
 def dense_kinetic_hamiltonian(info, hbar):
@@ -14,6 +18,18 @@ def dense_kinetic_hamiltonian(info, hbar):
     e = info.kinetic_energies(hbar)
     h = np.fft.ifft(e[:, None] * np.fft.fft(np.eye(info.n_points), axis=0), axis=0)
     return 0.5 * (h + h.conj().T)
+
+
+def rotating_expectation(q, scenario, series):
+    """Tr(q rho_I(t)) along a dense series: the rotating-frame expectation
+    whose derivative :func:`cslsim.ledger.observable_drift` predicts."""
+    h = scenario.hamiltonian
+    hbar = scenario.params.hbar
+    out = np.empty(series.times.size)
+    for i, t in enumerate(series.times):
+        q_rot = interaction_picture(q, h, -t / hbar)
+        out[i] = float(np.einsum("ij,ji->", series.rhos[i], q_rot.matrix).real)
+    return out
 
 
 class RowMajorSpectral:

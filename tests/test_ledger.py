@@ -7,14 +7,14 @@ exercised here on closed-form scenarios and random dense ones.
 
 import numpy as np
 import pytest
+from oracles import rotating_expectation
 
 from cslsim.ensemble import DensityMatrix, lindblad_propagate, run_ensemble
 from cslsim.errors import NumericalFailure
 from cslsim.hilbert import (HermitianOperator, double_commutator,
                             interaction_picture)
 from cslsim.ledger import (build_ledger, conservation_check,
-                           field_energy_quadrature, observable_drift,
-                           rotating_expectation)
+                           field_energy_quadrature, observable_drift)
 from cslsim.scenarios import (free_particle_grid, qubit_dephasing,
                               random_dense, random_hermitian,
                               two_level_collapse)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cslsim.noise import (VALIDITY_THRESHOLD, CollapseParams, NoisePath,
-                          TimeGrid, block_increments, standard_increments,
+from cslsim.noise import (CollapseParams, NoisePath, TimeGrid,
+                          block_increments, standard_increments,
                           trajectory_seed)
 
 
@@ -38,19 +38,6 @@ class TestTimeGrid:
             TimeGrid(0.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
-
-    def test_validity_figure_warns_when_coarse(self):
-        grid = TimeGrid(1.0, 2)
-        with pytest.warns(UserWarning, match="coarse time step"):
-            figure = grid.check_validity(lam=1.0, spectral_range=2.0)
-        assert figure == pytest.approx(2.0)
-        assert figure > VALIDITY_THRESHOLD
-
-    def test_validity_figure_silent_when_fine(self, recwarn):
-        grid = TimeGrid(1.0, 1000)
-        figure = grid.check_validity(lam=1.0, spectral_range=2.0)
-        assert figure == pytest.approx(0.004)
-        assert len(recwarn) == 0
 
 
 class TestIncrements:
