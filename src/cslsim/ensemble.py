@@ -153,9 +153,10 @@ class EnsembleStats:
         return float(self.outcome_frequencies[idx]), float(self.outcome_errors[idx])
 
 
-def _run_chunk(backend, scenario, indices, mode, master_seed,
+def _run_chunk(backend, scenario, indices, mode, master_seed, group_starts,
                record_series, with_field_energy, keep_final_states):
-    """Propagate one chunk and return its partial sums."""
+    """Propagate one chunk and return its partial sums.  ``group_starts``
+    holds the first coupling index of each outcome group."""
     grid = scenario.grid
     params = scenario.params
     s = grid.steps
@@ -181,11 +182,9 @@ def _run_chunk(backend, scenario, indices, mode, master_seed,
     weights = np.where(ok, weights, 0.0)
 
     pops, states = backend.read_out(batch.final_internal)
-    groups, _ = eigenvalue_groups(backend.coupling_values)
-    group_pops = np.stack([pops[:, lo:hi].sum(axis=1) for lo, hi in groups], axis=1)
-    assign = np.argmax(group_pops, axis=1)
+    assign = np.argmax(np.add.reduceat(pops, group_starts, axis=1), axis=1)
 
-    k = len(groups)
+    k = group_starts.size
     out["sum_w"] = weights.sum()
     out["sum_w2"] = (weights**2).sum()
     out["count_w"] = np.bincount(assign, weights=weights, minlength=k)
@@ -203,17 +202,17 @@ def _run_chunk(backend, scenario, indices, mode, master_seed,
         out["sum_f2"] = (f**2).sum()
 
     if record_series:
-        # The series are held step-major.  The sums over trajectories run on
-        # trajectory-major copies, so that they add whole rows in order; a
-        # sum along contiguous memory would pair terms and change the bits.
-        rows = np.ascontiguousarray
+        # The series are held step-major, (S+1, B) in memory, so each
+        # time's weighted sum over trajectories is one dot product along a
+        # contiguous row.
         if mode == "raw":
-            wt = np.where(ok[:, None], np.exp(rows(batch.log_red_series)), 0.0)
+            wt = np.where(ok, np.exp(batch.log_red_series.T), 0.0)
+            out["sum_wt"] = wt.sum(axis=1)
         else:
-            wt = np.broadcast_to(ok[:, None].astype(float), (b, s + 1))
-        out["sum_wt"] = wt.sum(axis=0)
-        out["sum_wA"] = (wt * rows(batch.series_expA)).sum(axis=0)
-        out["sum_wH"] = (wt * rows(batch.series_expH)).sum(axis=0)
+            wt = ok.astype(float)
+            out["sum_wt"] = np.full(s + 1, float(n_ok))
+        out["sum_wA"] = np.vecdot(wt, batch.series_expA.T)
+        out["sum_wH"] = np.vecdot(wt, batch.series_expH.T)
 
     if keep_final_states:
         out["states"] = states
@@ -266,13 +265,14 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
     if mode not in ("cooked", "raw"):
         raise ValueError(f"unknown ensemble mode {mode!r}")
     backend = make_backend(scenario, scenario.grid.dt)
+    groups, values = eigenvalue_groups(backend.coupling_values)
     chunk = _chunk_size(scenario.dim)
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
     def work(span):
         lo, hi = span
         return _run_chunk(backend, scenario, np.arange(lo, hi), mode, master_seed,
-                          record_series, with_field_energy, keep_final_states)
+                          groups[:, 0], record_series, with_field_energy, keep_final_states)
 
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -336,8 +336,6 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
         rows_w = [p["weights_row"][p["ok_row"]] for p in live]
         final_states = np.concatenate(rows_s, axis=0)
         final_weights = np.concatenate(rows_w, axis=0)
-
-    _, values = eigenvalue_groups(backend.coupling_values)
 
     return EnsembleStats(
         n_requested=n, n_success=n_success, n_failed=n_failed, mode=mode,
@@ -465,7 +463,8 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
     ------
     NumericalFailure
         If the dense accuracy figure exceeds ``halving_tol``, or the grid
-        halving check still fails at the refinement cap.
+        halving check still fails at the refinement cap or, with
+        ``max_refine`` = 0, cannot be made.
     """
     t_end = scenario.grid.t_end if t_end is None else t_end
     steps = scenario.grid.steps if steps is None else steps
@@ -636,8 +635,12 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
 
     Raises
     ------
+    ValueError
+        For a negative ``max_refine``, before any split-step runs.
     NumericalFailure
-        At once when a halving check fails while more than
+        Before any split-step runs when ``max_refine`` is 0, since no
+        halving check can then be made; at once when a halving check fails
+        while more than
         ``tolerances.SEAM_MASS`` of the probability sits at the periodic
         seam (the periodic grid, not the step, is then at fault);
         otherwise when the check still fails at the refinement cap; and
@@ -652,9 +655,15 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
     ref = np.outer(psi, psi.conj())
     if float(np.abs(rho0.entries - ref).max()) > 1e-9:
         raise ValueError("grid evolution requires rho0 = |psi0><psi0|")
+    if max_refine < 0:
+        raise ValueError(f"max_refine must be >= 0, got {max_refine} "
+                         f"(grid evolution at {steps_eff} steps)")
+    if max_refine == 0:
+        raise NumericalFailure(
+            f"grid evolution cannot be checked: max_refine=0 allows no halving "
+            f"at {steps_eff} steps")
 
     rho_c = _grid_channels_once(scenario, steps_eff)[1]
-    err = math.inf
     for _ in range(max_refine):
         seam2, rho2 = _grid_channels_once(scenario, 2 * steps_eff)
         scale = max(float(np.abs(rho2).max()), 1.0)

@@ -267,17 +267,14 @@ def eigenvalue_groups(values: np.ndarray) -> tuple:
     """Group ascending eigenvalues into near-degenerate eigenspaces.
 
     Consecutive values closer than DEGENERACY_RTOL times the spectral span
-    (at least 1) share a group.  Returns ``(groups, means)``: the
-    ``(lo, hi)`` slice bounds of each group and the mean eigenvalue of each.
+    (at least 1) share a group.  Returns ``(groups, means)``: a (k, 2)
+    integer array whose rows are the ``(lo, hi)`` slice bounds of each
+    group, and the mean eigenvalue of each.
     """
     tol = DEGENERACY_RTOL * max(float(values[-1] - values[0]), 1.0)
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            groups.append((start, i))
-            start = i
-    return groups, np.array([values[lo:hi].mean() for lo, hi in groups])
+    lo = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1))
+    hi = np.append(lo[1:], len(values))
+    return np.stack([lo, hi], axis=1), np.add.reduceat(values, lo) / (hi - lo)
 
 
 def interaction_picture(a: HermitianOperator, h: HermitianOperator, t: float) -> HermitianOperator:

@@ -29,7 +29,12 @@ transfer is a Fourier multiplier and the coupling is diagonal on the grid,
 so no dense matrix ever appears in the hot loop.  On the grid one forward
 transform F of c_k per step serves the transfer ifft(F phase_full), the
 position density |ifft(F phase_half)|^2 behind <A>, and <H> from |F|^2:
-three transforms per step, computed in place.  After the last step
+three transforms per step, computed in place.  Every grid reduction in
+the loop (squared norms, <A>, <H>) is one dot product per row
+(``numpy.vecdot``), the densities squared in place on the float view
+of a complex row: no conjugate copy, no BLAS matrix-vector product
+(which OpenBLAS may thread inside each worker), and a row's bits do not
+depend on the batch it sits in.  After the last step
 ``read_out`` gives the normalized coupling populations and the lab-frame
 states from one pass over the final internal states (one transform pair
 on the grid).
@@ -165,7 +170,7 @@ class SpectralBackend:
     def norm2(c: np.ndarray) -> np.ndarray:
         """Squared norms of the trajectories ``c``.  On this backend's memory
         the sum over the state axis is not along contiguous memory, so numpy
-        adds it in index order, the order of the grid's ``norm2``."""
+        adds it in index order."""
         return _abs2(c).sum(axis=1)
 
     def transfer(self, c: np.ndarray) -> np.ndarray:
@@ -210,6 +215,10 @@ class GridBackend:
         self._energies = e
         self._phase_full = np.exp(-1j * e * dt / hbar)
         self._phase_half = np.exp(-1j * e * (0.5 * dt) / hbar)
+        # Weights of the float view (re_0, im_0, re_1, im_1, ...) of a row:
+        # squared in place, its dot with these gives <A> and <H>.
+        self._x_pairs = np.repeat(self.coupling_values, 2)
+        self._e_pairs = np.repeat(e, 2) / self.dim
 
     def empty(self, b: int, lead: tuple = (), dtype=np.complex128) -> np.ndarray:
         """An uninitialized batch array of shape (b, *lead, N), held as
@@ -241,9 +250,10 @@ class GridBackend:
 
     @staticmethod
     def norm2(c: np.ndarray) -> np.ndarray:
-        """Squared norms of the trajectories ``c``, summed along each row in
-        index order (a plain sum along contiguous memory would pair terms)."""
-        return np.einsum("bi,bi->b", c.conj(), c).real
+        """Squared norms of the trajectories ``c``: one conjugating dot
+        product per row, with no conjugate copy.  A row's sum depends on
+        that row alone, not on the batch it sits in."""
+        return np.vecdot(c, c).real
 
     def transfer(self, c: np.ndarray) -> np.ndarray:
         return self._kinetic(c, self._phase_full)
@@ -258,16 +268,19 @@ class GridBackend:
         from the density of ifft(F phase_half) and <H> from |F|^2.
 
         With ``transfer`` set, ``c`` is overwritten (it holds F and then the
-        transferred state, which is returned).
+        transferred state, which is returned).  Both moments are per-row dot
+        products on the float view of one work array, squared in place.
         """
         f = np.fft.fft(c, axis=-1, out=c if transfer else None)
-        mean_a = mean_h = dens = None
-        if coupling:
+        mean_a = mean_h = None
+        if coupling or energy:
             shifted = f * self._phase_half
-            dens = _abs2(np.fft.ifft(shifted, axis=-1, out=shifted))
-            mean_a = dens @ self.coupling_values
+            sq = shifted.view(np.float64)
+        if coupling:
+            np.fft.ifft(shifted, axis=-1, out=shifted)
+            mean_a = np.vecdot(np.square(sq, out=sq), self._x_pairs)
         if energy:
-            mean_h = (_abs2(f, out=dens) @ self._energies) / self.dim
+            mean_h = np.vecdot(np.square(f.view(np.float64), out=sq), self._e_pairs)
         if not transfer:
             return c, mean_a, mean_h
         f *= self._phase_full

@@ -5,12 +5,26 @@ it as a Fourier multiplier.  The tests build it densely, once, to check
 that route against plain matrix products.  The dense propagation kernel
 is checked against its earlier row-major form, kept here, and the
 ledger's drift formula against the rotating-frame expectation it
-differentiates.
+differentiates.  Eigenvalue grouping is checked against its earlier
+loop.
 """
 
 import numpy as np
 
-from cslsim.hilbert import interaction_picture
+from cslsim.hilbert import DEGENERACY_RTOL, interaction_picture
+
+
+def loop_eigenvalue_groups(values):
+    """The grouping loop that :func:`cslsim.hilbert.eigenvalue_groups`
+    replaced: ``(groups, means)`` with groups a list of (lo, hi)."""
+    tol = DEGENERACY_RTOL * max(float(values[-1] - values[0]), 1.0)
+    groups = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol:
+            groups.append((start, i))
+            start = i
+    return groups, np.array([values[lo:hi].mean() for lo, hi in groups])
 
 
 def dense_kinetic_hamiltonian(info, hbar):

@@ -279,6 +279,16 @@ class TestEnsembleStatistics:
             np.testing.assert_allclose(one.final_state.normalized().amplitudes,
                                        stats.final_states[i], rtol=0.0, atol=1e-13)
 
+    def test_any_grid_trajectory_replays_from_its_index_seed(self):
+        # 300 trajectories make two grid chunks, of 256 and 44.
+        scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                      t_end=0.5, steps=16)
+        stats = run_ensemble(scenario, 300, "cooked", 9, keep_final_states=True)
+        for i in (0, 17, 256, 299):
+            one = evolve(scenario, seed=trajectory_seed(9, i))
+            np.testing.assert_allclose(one.final_state.normalized().amplitudes,
+                                       stats.final_states[i], rtol=0.0, atol=1e-13)
+
     def test_frequency_lookup(self):
         scenario = two_level_collapse(t_end=1.0, steps=100)
         stats = run_ensemble(scenario, 400, "cooked", 31)

@@ -218,6 +218,19 @@ def test_seam_estimate_matches_the_split_step_mass(scenario):
     assert estimate == pytest.approx(measured, rel=0.02)
 
 
+@pytest.mark.parametrize("max_refine,error", [(0, NumericalFailure), (-1, ValueError)])
+def test_a_budget_without_halvings_is_refused_before_any_split_step(monkeypatch,
+                                                                     max_refine, error):
+    scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                  t_end=1.0, steps=32)
+    seen = spy_step_counts(monkeypatch)
+    with pytest.raises(error, match="at 32 steps") as exc:
+        grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario,
+                               max_refine=max_refine)
+    assert "inf" not in str(exc.value)
+    assert seen == []
+
+
 def test_both_grid_entry_points_share_one_refinement_cap():
     for entry in (lindblad_propagate, grid_lindblad_channels):
         assert inspect.signature(entry).parameters["max_refine"].default == GRID_MAX_REFINE

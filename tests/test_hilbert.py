@@ -7,12 +7,13 @@ reference; rotation identities use Pauli-algebra closed forms.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import loop_eigenvalue_groups
 from scipy.linalg import expm
 
 from cslsim.errors import NonHermitianError, RangeOverflowError, ZeroNormError
 from cslsim.hilbert import (HermitianOperator, StateVector, double_commutator,
-                            eigendecompose, expectation, herm_exp,
-                            interaction_picture, variance)
+                            eigendecompose, eigenvalue_groups, expectation,
+                            herm_exp, interaction_picture, variance)
 from cslsim.tolerances import ALGEBRA
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -222,3 +223,22 @@ def test_variance_matches_centered_second_moment(seed, dim):
         (op.matrix - mean * np.eye(dim)) @ (op.matrix - mean * np.eye(dim)))
     assert variance(op, psi) == pytest.approx(expectation(centered, psi),
                                               abs=10 * ALGEBRA)
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(1024) * 0.25 - 128.0,
+    np.array([0.5]),
+    np.array([-1.0, 1.0]),
+    np.array([0.0, 1e-14, 2e-14, 1.0, 1.0 + 1e-15, 3.0]),
+    np.sort(np.repeat(np.random.default_rng(4).standard_normal(5), [1, 3, 7, 2, 1])),
+    np.sort(np.round(np.random.default_rng(5).standard_normal(300), 1)),
+], ids=["grid", "one", "two", "near-degenerate", "degenerate", "large-groups"])
+def test_eigenvalue_groups_match_the_loop(values):
+    groups, means = eigenvalue_groups(values)
+    want_groups, want_means = loop_eigenvalue_groups(values)
+    assert groups.tolist() == [list(g) for g in want_groups]
+    # Groups of fewer than 8 values add in the same order; larger ones are
+    # summed in sequence, not pairwise, and may differ in the last bit.
+    small = np.diff(groups, axis=1)[:, 0] < 8
+    assert np.array_equal(means[small], want_means[small])
+    np.testing.assert_allclose(means, want_means, rtol=4 * np.finfo(float).eps, atol=0.0)

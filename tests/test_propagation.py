@@ -136,6 +136,26 @@ def test_flagging_one_row_leaves_the_others_bit_identical():
                                rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("energy", [False, True])
+def test_grid_rows_do_not_depend_on_the_batch(energy):
+    # Every reduction is one dot product per row, so a row of a 256-row
+    # batch gives the same bits as the row alone; a matrix-vector product
+    # would block, and round, the rows differently with the batch size.
+    scenario = free_particle_grid(n_points=1024, dx=0.25, sigma0=2.0)
+    backend = GridBackend(scenario.grid_info, 0.03, scenario.params.hbar)
+    c = random_states(np.random.default_rng(12), 256, backend.dim)
+    norms = backend.norm2(c)
+    state, mean_a, mean_h = backend.advance(c.copy(), energy=energy)
+    for i in (0, 3, 255):
+        row = c[i:i + 1]
+        assert np.array_equal(backend.norm2(row), norms[i:i + 1])
+        one = backend.advance(row.copy(), energy=energy)
+        assert np.array_equal(one[0], state[i:i + 1])
+        assert np.array_equal(one[1], mean_a[i:i + 1])
+        if energy:
+            assert np.array_equal(one[2], mean_h[i:i + 1])
+
+
 def grid_pre_step_mean(backend, c, dt, hbar):
     e = backend.info.kinetic_energies(hbar)
     lab = np.fft.ifft(np.fft.fft(c, axis=-1) * np.exp(0.5j * e * dt / hbar), axis=-1)
