@@ -17,12 +17,13 @@ over the whole span checks the stepped end point.  The periodic grid is
 too large for that.  Its energy channels read only the kappa = 0
 momentum sector of rho, which evolves in closed form, so the grid
 ledger needs no integrator.  Its final rho comes from a split-step
-integrator with a halving check on that final rho.  The kinetic step
-U rho U^dag runs every Fourier transform along the contiguous last
-axis: a pass over the rows gives S = rho U^dag, and since rho is
-Hermitian a second row pass over S^dag gives S^dag U^dag = U rho U^dag,
-in place between two preallocated buffers.  Probability at the periodic
-seam fails a run and is named.
+integrator with a halving check on that final rho.  The split-step
+works on the ring (minimum-image collapse distances, the model the
+channels use), where both of its steps keep kappa = p - p' fixed: it
+holds rho as its N independent kappa-sectors Q[kappa, d], in which the
+collapse scales column d and the kinetic step is one transform pair
+along the contiguous rows, so a step makes two row passes and no
+transpose.  Probability at the periodic seam fails a run and is named.
 
 Determinism: an ensemble is split into fixed-size chunks, each chunk is
 propagated as one batch, and partial sums are combined in chunk order
@@ -499,6 +500,14 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
 _GRID_SAMPLES = 64
 
 
+def _ring_distance2(info) -> np.ndarray:
+    """(d dx)^2 for the minimum-image offset d of each d = (i - j) mod N:
+    the squared collapse distance on the ring."""
+    n = info.n_points
+    d = np.arange(n)
+    return (np.where(d > n // 2, d - n, d) * info.dx) ** 2
+
+
 def grid_energy_channels(scenario: Scenario) -> LindbladSeries:
     """Tr(H rho_t) and Tr([A,[A,H]] rho_t) of the grid scenario in closed
     form, at _GRID_SAMPLES + 1 evenly spaced times over [0, t_end].
@@ -529,8 +538,7 @@ def grid_energy_channels(scenario: Scenario) -> LindbladSeries:
     spectrum = np.fft.fft(scenario.psi0.amplitudes)
 
     r0 = np.fft.ifft(np.abs(spectrum) ** 2)
-    d = np.arange(n)
-    xd2 = (np.where(d > n // 2, d - n, d) * info.dx) ** 2
+    xd2 = _ring_distance2(info)
     weighted = np.fft.ifft(e) * r0.conj()
     decay = np.exp(-0.5 * params.lam * np.outer(times, xd2))
     sys_energy = (decay @ weighted).real
@@ -553,70 +561,92 @@ def grid_energy_channels(scenario: Scenario) -> LindbladSeries:
                           dc_trace=dc_trace, seam_mass_max=seam)
 
 
-def _kinetic_step(rho: np.ndarray, buf: np.ndarray, back: np.ndarray,
-                  scale: float) -> tuple:
-    """U (scale rho) U^dag for Hermitian ``rho``, U = F^-1 diag(phase) F,
-    ``back`` = conj(phase), with every transform along the last,
-    contiguous axis.
+def _skewed(v: np.ndarray) -> np.ndarray:
+    """The read-only N x N view S[kappa, p] = v[(p - kappa) mod N] of the
+    N-vector ``v``, with no copy: the windows of [v, v] that start at
+    N, N - 1, ..., 1."""
+    n = v.size
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v]), n)[n:0:-1]
 
-    A row v of rho times U^dag is fft(back * ifft(v)), so one pass over
-    the rows gives S = rho U^dag; rho is Hermitian, so S^dag U^dag is
-    U rho U^dag, and a second row pass over the conjugate transpose of S
-    gives it.  Both passes work in place: ``rho`` ends up holding S and
-    ``buf`` the result.  Returns (result, spare buffer).
+
+def _sector_step(q: np.ndarray, collapse: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
+    """One split step on the kappa-sectors ``q`` of rho, in place.
+
+    The collapse multiplies column d by ``collapse[d]`` and divides by
+    the trace q[0, 0], which it leaves unchanged (its factor at d = 0 is
+    1).  The kinetic step is one row transform to the momentum pairs
+    (p, p - kappa), a multiply by ``kinetic[kappa, p]``
+    = u_p conj(u_(p - kappa)) and the inverse row transform.
     """
-    np.fft.ifft(rho, axis=-1, out=rho)
-    rho *= back * scale
-    np.fft.fft(rho, axis=-1, out=rho)
-    np.conjugate(rho.T, out=buf)
-    np.fft.ifft(buf, axis=-1, out=buf)
-    buf *= back
-    np.fft.fft(buf, axis=-1, out=buf)
-    return buf, rho
+    q *= collapse / q[0, 0].real
+    np.fft.fft(q, axis=-1, out=q)
+    q *= kinetic
+    return np.fft.ifft(q, axis=-1, out=q)
+
+
+def _rho_from_sectors(q: np.ndarray) -> np.ndarray:
+    """The Hermitian part of the rho whose kappa-sectors are ``q``,
+    written over ``q``.
+
+    One row pass over Q^T gives the diagonals V[d, j] = rho(j + d, j);
+    row j of [V^T, V^T] read from column N - j is column j of rho, which
+    a reshape of the flat array with rows of length 2N - 1 lines up.
+    """
+    n = q.shape[0]
+    diagonals = np.ascontiguousarray(q.T)
+    np.fft.ifft(diagonals, axis=-1, out=diagonals)
+    doubled = np.empty((n, 2 * n), dtype=np.complex128)
+    doubled[:, :n] = diagonals.T
+    doubled[:, n:] = diagonals.T
+    rho_t = doubled.reshape(-1)[n:].reshape(n, 2 * n - 1)[:, :n]  # rho_t[j, i] = rho(i, j)
+    rho = np.conjugate(rho_t, out=q)
+    rho += rho_t.T
+    rho *= 0.5
+    return rho
 
 
 def _grid_channels_once(scenario: Scenario, steps: int):
-    """Split-step evolution of rho for the grid scenario.
+    """Split-step evolution of rho for the grid scenario on the ring.
 
-    The kinetic half/full steps U rho U^dag are Fourier multipliers,
-    applied by :func:`_kinetic_step` along the contiguous axis only,
-    in place, between two preallocated N x N buffers.  The collapse step
-    is an exact elementwise factor exp(-(lam dt / 2)(x_i - x_j)^2) with
-    a unit diagonal: it leaves the trace unchanged, so the trace it
-    finds is divided out in the next kinetic step's first multiply.
-    Returns (seam_mass_max, rho): the largest probability within
-    ``seam_margin`` points of the periodic seam after any step, and the
-    final rho.
+    rho is held as its kappa-sectors Q[kappa, d]
+    = sum_j exp(-2 pi i kappa j / N) rho(j + d, j), in which both steps
+    act along the contiguous rows (:func:`_sector_step`): the collapse
+    factor exp(-(lam dt / 2)(d dx)^2), d the minimum-image offset, scales
+    column d, and the kinetic step multiplies the momentum pair
+    (p, p - kappa) by u_p conj(u_(p - kappa)), u = exp(-i e dt / hbar).
+    The first kinetic half step acts on psi0 before the sectors are
+    built, from its momentum amplitudes phi as phi_p conj(phi_(p - kappa)).
+    The seam mass is a fixed linear form of column d = 0, whose inverse
+    transform is the diagonal of rho.  Returns (seam_mass_max, rho): the
+    largest probability within ``seam_margin`` points of the periodic
+    seam after any step, and the final rho.
     """
     info = scenario.grid_info
     params = scenario.params
+    n = info.n_points
     dt = scenario.grid.t_end / steps
-    x = info.positions
     e = info.kinetic_energies(params.hbar)
+    u_full = np.exp(-1j * e * dt / params.hbar)
+    u_half = np.exp(-1j * e * (0.5 * dt) / params.hbar)
+    collapse = np.exp(-0.5 * params.lam * dt * _ring_distance2(info))
 
-    psi = scenario.psi0.amplitudes
-    rho = np.outer(psi, psi.conj())
-    buf = np.empty_like(rho)
-
-    back_full = np.exp(1j * e * dt / params.hbar)
-    back_half = np.exp(1j * e * (0.5 * dt) / params.hbar)
-    decay = np.exp(-0.5 * params.lam * dt * np.subtract.outer(x, x) ** 2)
-
-    n_band = info.seam_margin
-    edge = np.concatenate([np.arange(n_band), np.arange(info.n_points - n_band, info.n_points)])
+    edge = np.zeros(n)
+    edge[:info.seam_margin] = edge[n - info.seam_margin:] = 1.0
+    # sum_j edge[j] ifft(Q[:, 0])[j] = sum_kappa ifft(edge)[kappa] Q[kappa, 0]
+    edge_form = np.fft.ifft(edge)
     seam_max = 0.0
 
-    rho, buf = _kinetic_step(rho, buf, back_half, 1.0)
+    phi = u_half * np.fft.fft(scenario.psi0.amplitudes)
+    q = phi * _skewed(phi.conj())
+    np.fft.ifft(q, axis=-1, out=q)
+    kinetic = u_full * _skewed(u_full.conj())
     for k in range(steps):
-        rho *= decay
-        tr = np.einsum("ii->", rho).real
-        back = back_full if k < steps - 1 else back_half
-        rho, buf = _kinetic_step(rho, buf, back, 1.0 / tr)
-        mass = float(np.einsum("ii->i", rho).real[edge].sum())
-        seam_max = max(seam_max, mass)
-
-    rho = 0.5 * (rho + rho.conj().T)
-    return seam_max, rho
+        if k == steps - 1:
+            np.multiply(u_half, _skewed(u_half.conj()), out=kinetic)
+        _sector_step(q, collapse, kinetic)
+        seam_max = max(seam_max, float((edge_form @ q[:, 0]).real))
+    del kinetic  # N x N; freed before the final rho is built
+    return seam_max, _rho_from_sectors(q)
 
 
 def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
@@ -626,12 +656,14 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
     """Deterministic evolution for the periodic-grid particle.
 
     ``rho0`` must equal the scenario's pure initial state (mixed grid
-    inputs are out of scope).  The split-step integrator gives the final
-    rho; the halving check compares the final rho of successive step
-    counts, with at most ``max_refine`` step doublings (default
-    ``GRID_MAX_REFINE``, the same cap as :func:`lindblad_propagate`).
-    The energy channels come from :func:`grid_energy_channels`, and
-    ``seam_mass_max`` is the one the split-step measured.
+    inputs are out of scope).  The split-step integrator
+    (:func:`_grid_channels_once`, on the ring: minimum-image collapse
+    distances, as in the channels) gives the final rho; the halving check
+    compares the final rho of successive step counts, with at most
+    ``max_refine`` step doublings (default ``GRID_MAX_REFINE``, the same
+    cap as :func:`lindblad_propagate`).  The energy channels come from
+    :func:`grid_energy_channels`, and ``seam_mass_max`` is the one the
+    split-step measured.
 
     Raises
     ------
@@ -639,21 +671,20 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
         For a negative ``max_refine``, before any split-step runs.
     NumericalFailure
         Before any split-step runs when ``max_refine`` is 0, since no
-        halving check can then be made; at once when a halving check fails
-        while more than
-        ``tolerances.SEAM_MASS`` of the probability sits at the periodic
-        seam (the periodic grid, not the step, is then at fault);
-        otherwise when the check still fails at the refinement cap; and
-        when :func:`grid_energy_channels` refuses the run for its seam
-        mass.
+        halving check can then be made; at once after a halving
+        comparison, passed or not, whose finer run measured more than
+        ``tolerances.SEAM_MASS`` of the probability at the periodic seam
+        (on the ring a wrapped packet still converges, so only the seam
+        mass shows that the periodic grid is at fault); otherwise when the
+        check still fails at the refinement cap; and when
+        :func:`grid_energy_channels` refuses the run for its seam mass.
     """
     t_end_eff = scenario.grid.t_end if t_end is None else t_end
     steps_eff = scenario.grid.steps if steps is None else steps
     if t_end_eff != scenario.grid.t_end:
         scenario = replace(scenario, grid=TimeGrid(t_end_eff, steps_eff))
     psi = scenario.psi0.amplitudes
-    ref = np.outer(psi, psi.conj())
-    if float(np.abs(rho0.entries - ref).max()) > 1e-9:
+    if float(np.abs(rho0.entries - np.outer(psi, psi.conj())).max()) > 1e-9:
         raise ValueError("grid evolution requires rho0 = |psi0><psi0|")
     if max_refine < 0:
         raise ValueError(f"max_refine must be >= 0, got {max_refine} "
@@ -668,14 +699,15 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
         seam2, rho2 = _grid_channels_once(scenario, 2 * steps_eff)
         scale = max(float(np.abs(rho2).max()), 1.0)
         err = float(np.abs(rho2 - rho_c).max()) / scale
+        if seam2 > SEAM_MASS:
+            raise NumericalFailure(
+                f"grid evolution not trusted: probability mass {seam2:.3e} "
+                f"reached the periodic seam (limit {SEAM_MASS}) in the split-step; "
+                f"halving at {2 * steps_eff} steps moves the final density "
+                f"matrix by {err:.3e}")
         if err < halving_tol:
             return replace(grid_energy_channels(scenario), final_rho=rho2,
                            achieved_halving_error=err, seam_mass_max=seam2)
-        if seam2 > SEAM_MASS:
-            raise NumericalFailure(
-                f"grid evolution did not converge: probability mass {seam2:.3e} "
-                f"reached the periodic seam (limit {SEAM_MASS}); halving at "
-                f"{2 * steps_eff} steps moves the final density matrix by {err:.3e}")
         rho_c = rho2
         steps_eff *= 2
     raise NumericalFailure(

@@ -505,11 +505,11 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
                 exp_h[k] = mean_h
 
     # The coupling is diagonal in the final internal frame, so both moments
-    # of the interaction functional are direct sums; the populations are
-    # laid out trajectory-first so these are the same BLAS calls whatever
-    # the backend's memory order.
+    # of the interaction functional are direct sums: one dot product per
+    # row of the trajectory-first populations, so a row's value does not
+    # depend on the batch it sits in, whatever the backend's memory order.
     pops = _abs2(c, out=np.empty((b, d)))
-    interaction = w_steps[-1] * (pops @ a) - 2.0 * lam * (pops @ (a * a))
+    interaction = w_steps[-1] * np.vecdot(pops, a) - 2.0 * lam * np.vecdot(pops, a * a)
 
     def rows(steps):
         return None if steps is None else steps.T

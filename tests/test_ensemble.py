@@ -8,6 +8,7 @@ unit mean of raw importance weights.
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import SECTOR_MATCH
 
 from cslsim.ensemble import (DensityMatrix, _grid_channels_once,
                              ensemble_density_matrix, grid_energy_channels,
@@ -180,17 +181,14 @@ class TestLindbladEvolution:
             assert np.abs(rho - exact.reshape(dim, dim)).max() <= 1e-12
 
 
-# Seam-clear packets: the sector channels use minimum-image distances and
-# the split-step the unwrapped ones, so they differ only through coherence
-# across the seam, which these packets keep below rounding.
+# The sector channels and the split-step both work on the ring, with
+# minimum-image distances, so they agree whatever the coherence across the
+# seam; these packets keep it below rounding anyway.
 SECTOR_PACKETS = [
     dict(n_points=64, dx=1.0, sigma0=2.5, lam=0.05, x0=-2.0, p0=0.3),
     dict(n_points=128, dx=0.5, sigma0=2.0, lam=0.05, x0=1.0, p0=0.7),
     dict(n_points=256, dx=0.25, sigma0=2.0, lam=0.002, x0=8.0),
 ]
-# Measured floor of the comparison: 1.6e-12 on the system energy and
-# 6e-14 on the commutator trace (relative to |t13| below).
-SECTOR_MATCH = 1e-11
 
 
 @pytest.mark.parametrize("packet", SECTOR_PACKETS, ids=lambda k: str(k["n_points"]))

@@ -1,21 +1,25 @@
 """The grid density-matrix integrator and the free-particle ledger.
 
-The split-step's kinetic step U rho U^dag transforms along the
-contiguous axis only and relies on rho being Hermitian.  It is checked
-against the dense product with U = expm(-iHt/hbar) (scipy as an
-oracle), and a whole run against the two-axis step it replaced.  The
-seam guard is checked on a packet that stays clear of the wrap-around
-edge and on one that reaches it, and the halving check on the final rho
-on runs that converge only after a refinement or not at all.  The
-ledger reads its channels in closed form and never runs the split-step;
-its seam estimate is checked against the mass the split-step measures.
+The split-step works on the ring and holds rho as its kappa-sectors.
+One sector step is checked against the dense ring-model step
+U (C o rho / Tr rho) U^dag with U = expm(-iH dt/hbar) (scipy as an
+oracle), a short run against the dense Strang product, and whole runs
+against the two-axis, unwrapped split-step it replaced, which agrees on
+packets whose coherence stays clear of the seam.  The seam guard is
+checked on a packet that stays clear of the wrap-around edge and on one
+that reaches it, and the halving check on the final rho on runs that
+converge only after a refinement or not at all.  The ledger reads its
+channels in closed form and never runs the split-step; its seam estimate
+is checked against the mass the split-step measures, and its energy
+against the final rho's where the coherence reaches the seam.
 """
 
 import inspect
 
 import numpy as np
 import pytest
-from oracles import dense_kinetic_hamiltonian
+from oracles import (SECTOR_MATCH, dense_kinetic_hamiltonian, fourier_energy, sectors,
+                     two_axis_split_step)
 from scipy.linalg import expm
 
 from cslsim import ensemble
@@ -36,14 +40,14 @@ def random_hermitian(rng, n):
     return m @ m.conj().T / n
 
 
-def two_axis_step(rho, buf, back, scale):
-    """The previous kinetic step: column transforms for U rho, then row
-    transforms for (U rho) U^dag."""
-    phase = back.conj()
-    r = rho * scale
-    r = np.fft.ifft(phase[:, None] * np.fft.fft(r, axis=0), axis=0)
-    r = np.fft.fft(np.fft.ifft(r, axis=1) * back[None, :], axis=1)
-    return r, buf
+def ring_collapse(info, lam, dt):
+    """exp(-(lam dt / 2)(d dx)^2) at the minimum-image offset d, as a
+    dense matrix and as the vector over d = (i - j) mod N."""
+    n = info.n_points
+    d = np.arange(n)
+    vector = np.exp(-0.5 * lam * dt * (np.minimum(d, n - d) * info.dx) ** 2)
+    i = np.arange(n)[:, None]
+    return vector[(i - i.T) % n], vector
 
 
 def spy_step_counts(monkeypatch):
@@ -62,32 +66,74 @@ def spy_step_counts(monkeypatch):
 @pytest.mark.parametrize("n_points", [64, 128])
 @pytest.mark.parametrize("scale", [1.0, 0.5])
 def test_kinetic_step_matches_the_dense_product(n_points, scale):
+    # With no collapse the sector step is U rho U^dag / Tr rho.
     info = GridInfo(n_points=n_points, dx=0.3, mass=1.3)
     hbar, t = 0.8, 0.37
     u = expm(-1j * dense_kinetic_hamiltonian(info, hbar) * t / hbar)
-    rho = random_hermitian(np.random.default_rng(n_points), n_points)
-    exact = scale * (u @ rho @ u.conj().T)
-    back = np.exp(1j * info.kinetic_energies(hbar) * t / hbar)
-    got, spare = ensemble._kinetic_step(rho.copy(), np.empty_like(rho), back, scale)
-    assert got.shape == spare.shape == rho.shape and got is not spare
-    assert np.abs(got - exact).max() <= MATCH * np.abs(exact).max()
+    rho = scale * random_hermitian(np.random.default_rng(n_points), n_points)
+    exact = u @ rho @ u.conj().T / np.trace(rho).real
+    phase = np.exp(-1j * info.kinetic_energies(hbar) * t / hbar)
+    got = ensemble._sector_step(sectors(rho), np.ones(n_points),
+                                phase * ensemble._skewed(phase.conj()))
+    want = sectors(exact)
+    assert np.abs(got - want).max() <= MATCH * np.abs(want).max()
+    assert np.abs(ensemble._rho_from_sectors(got) - exact).max() <= MATCH * np.abs(exact).max()
 
 
-def test_whole_run_matches_the_two_axis_route(monkeypatch):
-    scenario = free_particle_grid(n_points=128, dx=0.3, sigma0=2.0, lam=0.05,
-                                  t_end=1.0, steps=64, x0=1.0, p0=0.7)
-    rho0 = DensityMatrix.from_state(scenario.psi0)
-    seen = spy_step_counts(monkeypatch)
-    new = grid_lindblad_channels(rho0, scenario)
-    new_steps = list(seen)
-    seen.clear()
-    monkeypatch.setattr(ensemble, "_kinetic_step", two_axis_step)
-    old = grid_lindblad_channels(rho0, scenario)
-    assert new_steps == seen == [64, 128]
-    assert np.abs(new.final_rho - old.final_rho).max() <= MATCH * np.abs(old.final_rho).max()
+@pytest.mark.parametrize("n_points", [16, 32])
+def test_sector_step_matches_the_dense_ring_step(n_points):
+    # A step on a matrix of trace about 2 whose coherence spans the whole
+    # ring: collapse at the minimum-image distance, trace divided out,
+    # kinetic step.
+    info = GridInfo(n_points=n_points, dx=0.7)
+    hbar, lam, dt = 1.0, 0.3, 0.4
+    u = expm(-1j * dense_kinetic_hamiltonian(info, hbar) * dt / hbar)
+    rho = random_hermitian(np.random.default_rng(n_points + 1), n_points)
+    dense, vector = ring_collapse(info, lam, dt)
+    exact = u @ (dense * rho) @ u.conj().T / np.trace(rho).real
+    phase = np.exp(-1j * info.kinetic_energies(hbar) * dt / hbar)
+    got = ensemble._sector_step(sectors(rho), vector, phase * ensemble._skewed(phase.conj()))
+    want = sectors(exact)
+    assert abs(np.trace(rho).real - 1.0) > 0.5
+    assert np.abs(got - want).max() <= MATCH * np.abs(want).max()
 
 
-def test_every_transform_runs_along_the_last_axis_four_per_kinetic_step(monkeypatch):
+@pytest.mark.parametrize("n_points", [16, 32])
+def test_short_run_matches_the_dense_ring_strang_product(n_points):
+    # A packet as wide as the ring, so that the collapse acts across the
+    # seam; two steps are U_h C U C U_h on psi0.
+    scenario = free_particle_grid(n_points=n_points, dx=0.5, sigma0=2.0, lam=0.4,
+                                  t_end=0.6, steps=2, p0=0.8)
+    info, hbar, dt = scenario.grid_info, scenario.params.hbar, 0.3
+    h = dense_kinetic_hamiltonian(info, hbar)
+    full, half = expm(-1j * h * dt / hbar), expm(-0.5j * h * dt / hbar)
+    dense, _ = ring_collapse(info, scenario.params.lam, dt)
+    psi = half @ scenario.psi0.amplitudes
+    rho = np.outer(psi, psi.conj())
+    rho = half @ (dense * (full @ (dense * rho) @ full.conj().T)) @ half.conj().T
+    got = ensemble._grid_channels_once(scenario, 2)[1]
+    assert np.abs(got - rho).max() <= MATCH * np.abs(rho).max()
+
+
+# Packets whose coherence stays clear of the seam, where the minimum-image
+# and the unwrapped distances give the same run up to rounding (measured:
+# 1.7e-15 to 5.3e-15 relative).  The 512-point one has the benchmark's shape.
+SEAM_CLEAR_PACKETS = [
+    dict(n_points=64, dx=1.0, sigma0=2.5, lam=0.05, t_end=1.0, x0=-2.0, p0=0.3),
+    dict(n_points=128, dx=0.5, sigma0=2.0, lam=0.05, t_end=1.0, x0=1.0, p0=0.7),
+    dict(n_points=512, dx=0.25, sigma0=4.0, lam=0.002, t_end=0.25, x0=1.0, p0=0.3),
+]
+
+
+def test_whole_run_matches_the_two_axis_route():
+    for packet in SEAM_CLEAR_PACKETS:
+        scenario = free_particle_grid(steps=16, **packet)
+        new = ensemble._grid_channels_once(scenario, 16)[1]
+        old = two_axis_split_step(scenario, 16)
+        assert np.abs(new - old).max() <= MATCH * np.abs(old).max(), packet["n_points"]
+
+
+def test_every_transform_runs_along_the_last_axis_two_per_step(monkeypatch):
     calls = []
     for name in ("fft", "ifft"):
         func = getattr(np.fft, name)
@@ -98,18 +144,26 @@ def test_every_transform_runs_along_the_last_axis_four_per_kinetic_step(monkeypa
             return _func(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, recorded)
-    seen = spy_step_counts(monkeypatch)
     scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
                                   t_end=1.0, steps=32)
+    counts = []
+    for steps in (8, 16):
+        calls.clear()
+        ensemble._grid_channels_once(scenario, steps)
+        counts.append(len(calls))
+    # Each step is one forward and one inverse row pass; building the
+    # sectors, the seam form and the final rho add a fixed count.
+    fixed = counts[0] - 2 * 8
+    assert counts[1] - counts[0] == 2 * 8 and 0 < fixed <= 4
+    calls.clear()
+    seen = spy_step_counts(monkeypatch)
     ensemble.grid_energy_channels(scenario)
     channel_calls = len(calls)
     assert seen == [] and channel_calls > 0
     calls.clear()
     grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
     assert seen == [32, 64]
-    # A run of s steps makes s + 1 kinetic steps: a half step, s - 1
-    # full steps and a closing half step.  The channels add a fixed count.
-    assert len(calls) == 4 * sum(s + 1 for s in seen) + channel_calls
+    assert len(calls) == sum(2 * s + fixed for s in seen) + channel_calls
     assert all(calls)
 
 
@@ -120,7 +174,7 @@ def seam_probe(x0):
 
 def seam_coherence_probe():
     """A packet whose coherence, not its mass, reaches the seam: its seam
-    mass (4.4e-5) stays below SEAM_MASS."""
+    mass (4.5e-5) stays below SEAM_MASS."""
     return free_particle_grid(n_points=256, dx=0.25, sigma0=2.0, lam=0.2,
                               t_end=8.0, steps=64, p0=0.5)
 
@@ -137,11 +191,18 @@ def test_packet_clear_of_the_seam_converges(monkeypatch):
 def test_mass_at_the_seam_fails_the_first_halving_naming_it(monkeypatch):
     scenario = seam_probe(24.0)
     seen = spy_step_counts(monkeypatch)
-    with pytest.raises(NumericalFailure, match=r"probability mass 2\.\d+e-02 "
-                                               r"reached the periodic seam"):
+    # On the ring the wrapped packet converges (the halving moves rho by
+    # 1.5e-7), so the split-step's own seam mass refuses it: 3.116e-2, the
+    # channels' estimate to four digits (2.78e-2 on the unwrapped route).
+    with pytest.raises(NumericalFailure, match=r"probability mass 3\.\d+e-02 "
+                                               r"reached the periodic seam") as exc:
         grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
     # No refinement beyond the first halving.
     assert seen == [32, 64]
+    # The refusal is the split-step's, not the channels' estimate.
+    mass = ensemble._grid_channels_once(scenario, 64)[0]
+    assert f"probability mass {mass:.3e} reached the periodic seam" in str(exc.value)
+    assert "in the split-step" in str(exc.value)
 
 
 def test_halving_that_converges_after_one_refinement_reports_the_refined_run(monkeypatch):
@@ -153,10 +214,10 @@ def test_halving_that_converges_after_one_refinement_reports_the_refined_run(mon
         return grid_lindblad_channels(rho0, scenario, steps=steps, halving_tol=1.0,
                                       max_refine=1)
 
-    # The halving error falls from about 7.8e-7 (16 against 32 steps) to
-    # about 4.5e-7 (32 against 64), so a tolerance of 6e-7 needs exactly
+    # The halving error falls from about 6.1e-7 (16 against 32 steps) to
+    # about 1.5e-7 (32 against 64), so a tolerance of 3e-7 needs exactly
     # one refinement.
-    tol = 6e-7
+    tol = 3e-7
     assert single_halving(16).achieved_halving_error > tol
     fine = single_halving(32)
     assert fine.achieved_halving_error < tol
@@ -191,6 +252,17 @@ def test_seam_coherence_below_the_seam_mass_converges_at_the_first_halving(monke
     assert seen == [64, 128]
     assert series.achieved_halving_error < 1e-6
     assert series.seam_mass_max < SEAM_MASS
+
+
+def test_seam_coherence_final_rho_carries_the_ring_energy():
+    # The split-step and the channels share the ring, so the final rho's
+    # energy is the channel's, although the coherence reaches the seam
+    # (1.1e-4 apart when the split-step used the unwrapped distance).
+    scenario = seam_coherence_probe()
+    series = grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
+    got = fourier_energy(series.final_rho, scenario.grid_info, scenario.params.hbar)
+    want = series.sys_energy[-1]
+    assert abs(got - want) <= SECTOR_MATCH * abs(want)
 
 
 def test_the_grid_ledger_never_runs_the_split_step(monkeypatch):

@@ -125,15 +125,11 @@ def test_flagging_one_row_leaves_the_others_bit_identical():
     same_shape = run(calm)
     without = run(w[keep])
     assert not same_shape.failed.any() and not without.failed.any()
+    # The terminal <A> is one dot product per row, so a 63-row batch
+    # rounds its rows as the 64-row one does.
     for name in ("final_internal", "log_red", "interaction"):
         assert np.array_equal(getattr(batch, name)[keep], getattr(same_shape, name)[keep])
-    for name in ("final_internal", "log_red"):
         assert np.array_equal(getattr(batch, name)[keep], getattr(without, name))
-    # The terminal <A> is a BLAS matrix-vector product whose blocking over
-    # rows depends on the batch size, so the last rows of a 63-row batch
-    # may round differently from the same rows of a 64-row one.
-    np.testing.assert_allclose(batch.interaction[keep], without.interaction,
-                               rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("energy", [False, True])
@@ -154,6 +150,25 @@ def test_grid_rows_do_not_depend_on_the_batch(energy):
         assert np.array_equal(one[1], mean_a[i:i + 1])
         if energy:
             assert np.array_equal(one[2], mean_h[i:i + 1])
+
+
+def test_grid_interaction_of_a_row_does_not_depend_on_the_batch():
+    # The terminal interaction w_T <A> - 2 lam <A^2> of a row of a 256-row
+    # cooked batch has the bits of the same row run alone.
+    scenario = free_particle_grid(n_points=1024, dx=0.25, sigma0=2.0, t_end=0.25, steps=8)
+    grid, params = scenario.grid, scenario.params
+    backend = make_backend(scenario, grid.dt)
+    draws = block_increments(grid, params, 14, np.arange(256))
+
+    def run(rows):
+        return evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
+                            mode="cooked", increments=rows)
+
+    batch = run(draws)
+    for i in range(0, 256, 15):
+        one = run(draws[i:i + 1])
+        assert np.array_equal(one.final_internal, batch.final_internal[i:i + 1]), i
+        assert np.array_equal(one.interaction, batch.interaction[i:i + 1]), i
 
 
 def grid_pre_step_mean(backend, c, dt, hbar):
