@@ -35,8 +35,7 @@ import numpy as np
 
 from . import __version__
 from .ensemble import run_ensemble
-from .errors import (ConfigError, NonHermitianError, NumericalFailure,
-                     RangeOverflowError, ZeroNormError)
+from .errors import ConfigError, NonHermitianError, NumericalFailure, ZeroNormError
 from .ledger import build_ledger, conservation_check
 from .postulate import (MomentumGrid, build_window_state, collapse_residual,
                         eq1_residual, gaussian_state, make_superposition,
@@ -571,8 +570,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, RangeOverflowError, ZeroNormError,
-            NonHermitianError) as exc:
+    except (NumericalFailure, ZeroNormError, NonHermitianError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

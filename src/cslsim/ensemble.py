@@ -10,14 +10,18 @@ in the lab frame.  Their agreement (weighted trajectory average of
 |psi><psi| against the evolved rho) is one of the package's headline
 verification targets.
 
+Both integrators take the span and the step count from the scenario's
+``TimeGrid`` and hold their accuracy contracts as module constants.
 Dense scenarios are evolved exactly: the Liouvillian is a fixed
 d^2 x d^2 matrix, its exponential over one step is formed once by Pade
 scaling and squaring, and its powers give the series; one exponential
-over the whole span checks the stepped end point.  The periodic grid is
-too large for that.  Its energy channels read only the kappa = 0
-momentum sector of rho, which evolves in closed form, so the grid
-ledger needs no integrator.  Its final rho comes from a split-step
-integrator with a halving check on that final rho.  The split-step
+over the whole span checks the stepped end point to
+``DENSE_HALVING_TOL``.  The periodic grid is too large for that.  Its
+energy channels read only the kappa = 0 momentum sector of rho, which
+evolves in closed form, so the grid ledger needs no integrator.  Its
+final rho comes from a split-step integrator with a halving check on
+that final rho (``GRID_HALVING_TOL``, at most ``GRID_MAX_REFINE`` step
+doublings).  The split-step
 works on the ring (minimum-image collapse distances, the model the
 channels use), where both of its steps keep kappa = p - p' fixed: it
 holds rho as its N independent kappa-sectors Q[kappa, d], in which the
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import LowEffectiveSampleError, NumericalFailure
 from .hilbert import StateVector, eigenvalue_groups, expm
-from .noise import TimeGrid, block_increments
+from .noise import block_increments
 from .propagation import evolve_batch, field_energy_sweep, make_backend
 from .tolerances import ALGEBRA, SEAM_MASS
 from .trajectory import Scenario
@@ -54,9 +58,12 @@ ESS_FLOOR = 100.0
 # Fraction of trajectories that must survive for a run to count.
 MIN_SUCCESS_FRACTION = 0.9
 
-# Step doublings the grid halving check may make before it gives up; the
-# one cap of both grid entry points (lindblad_propagate and
-# grid_lindblad_channels).
+# Accuracy contracts of the two deterministic integrators: the dense
+# stepped end point against one exp(L t_end) rho0, and the grid final rho
+# against the run at half the step count, which may be refined by step
+# doubling at most GRID_MAX_REFINE times.
+DENSE_HALVING_TOL = 1e-8
+GRID_HALVING_TOL = 1e-6
 GRID_MAX_REFINE = 4
 
 # Trajectories per batch.  Fixed per scenario dimension (never per worker
@@ -224,8 +231,7 @@ def _run_chunk(backend, scenario, indices, mode, master_seed, group_starts,
 
 def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
                  record_series: bool = False, keep_final_states: bool = False,
-                 with_field_energy: bool = False, threads: int = 1,
-                 ess_floor: float = ESS_FLOOR) -> EnsembleStats:
+                 with_field_energy: bool = False, threads: int = 1) -> EnsembleStats:
     """Run ``n`` independent trajectories and aggregate their statistics.
 
     Parameters
@@ -243,23 +249,20 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
     record_series : bool
         Accumulate weighted time series of <A> and <H>.
     keep_final_states : bool
-        Retain normalized final states and weights (needed by
-        :func:`ensemble_density_matrix`).
+        Retain the normalized final states and their weights.
     with_field_energy : bool
         Run per-trajectory reverse sweeps for the field-energy estimator
         (raw mode; its mean over raw paths is the deterministic value).
     threads : int
         Worker threads for chunk fan-out.
-    ess_floor : float
-        Refuse weighted headline statistics below this effective sample
-        size (raw mode only).
 
     Raises
     ------
     NumericalFailure
         If more than 10% of trajectories fail.
     LowEffectiveSampleError
-        If raw-mode weights are too degenerate to report.
+        If raw-mode weights give an effective sample size below
+        ``ESS_FLOOR``.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
@@ -295,8 +298,8 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
     sum_w = float(total("sum_w"))
     sum_w2 = float(total("sum_w2"))
     ess = sum_w**2 / sum_w2 if sum_w2 > 0.0 else 0.0
-    if mode == "raw" and ess < ess_floor:
-        raise LowEffectiveSampleError(ess, ess_floor, n)
+    if mode == "raw" and ess < ESS_FLOOR:
+        raise LowEffectiveSampleError(ess, ESS_FLOOR, n)
 
     count_w = total("count_w")
     count_w2 = total("count_w2")
@@ -349,18 +352,6 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
         times=times, mean_coupling=mean_a_series, mean_hamiltonian=mean_h_series,
         final_states=final_states, final_weights=final_weights,
     )
-
-
-def ensemble_density_matrix(stats: EnsembleStats) -> DensityMatrix:
-    """Weighted average of |psi><psi| over retained final states."""
-    if stats.final_states is None:
-        raise ValueError("run the ensemble with keep_final_states=True")
-    psi = stats.final_states
-    w = stats.final_weights
-    rho = np.einsum("b,bi,bj->ij", w, psi, psi.conj())
-    rho /= np.trace(rho).real
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho)
 
 
 @dataclass(frozen=True)
@@ -439,43 +430,29 @@ def _stepped_series(p: np.ndarray, v0: np.ndarray, n_out: int) -> np.ndarray:
     return out.transpose(2, 0, 1).reshape(count * block, n)[:n_out]
 
 
-def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
-                       t_end: Optional[float] = None, steps: Optional[int] = None,
-                       halving_tol: Optional[float] = None,
-                       max_refine: int = GRID_MAX_REFINE) -> LindbladSeries:
-    """Evolve ``rho`` under the deterministic ensemble equation.
+def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario) -> LindbladSeries:
+    """Evolve ``rho`` of a dense scenario under the deterministic ensemble
+    equation.
 
-    Dense scenarios use the exact propagator P = exp(L dt) of the
-    Liouvillian L on 2 * ``steps`` intervals, dt = t_end / (2 * steps),
-    and return rho at all 2 * ``steps`` + 1 times.  Its accuracy figure,
-    ``achieved_halving_error``, is the largest entry difference between
-    the stepped final rho and one exp(L t_end) rho0 (relative to the
-    largest entry, at least 1); it must stay below ``halving_tol``
-    (default 1e-8).  ``max_refine`` does not apply.
-
-    Grid scenarios dispatch to a split-step integrator that keeps the
-    final rho and scalar energy channels instead of the (huge) matrix
-    series, and checks halving on the final rho (``halving_tol`` default
-    1e-6), with at most ``max_refine`` step doublings (default
-    ``GRID_MAX_REFINE``, the same cap as a direct
-    :func:`grid_lindblad_channels` call); see that function.
+    The exact propagator P = exp(L dt) of the Liouvillian L steps the
+    scenario's span t_end on 2 * steps intervals, dt = t_end / (2 * steps),
+    and the series holds rho at all 2 * steps + 1 times.  Its accuracy
+    figure, ``achieved_halving_error``, is the largest entry difference
+    between the stepped final rho and one exp(L t_end) rho0 (relative to
+    the largest entry, at least 1).
 
     Raises
     ------
+    ValueError
+        For a grid scenario, whose final rho comes from
+        :func:`grid_lindblad_channels`.
     NumericalFailure
-        If the dense accuracy figure exceeds ``halving_tol``, or the grid
-        halving check still fails at the refinement cap or, with
-        ``max_refine`` = 0, cannot be made.
+        If the accuracy figure exceeds ``DENSE_HALVING_TOL``.
     """
-    t_end = scenario.grid.t_end if t_end is None else t_end
-    steps = scenario.grid.steps if steps is None else steps
     if scenario.grid_info is not None:
-        return grid_lindblad_channels(
-            rho0, scenario, t_end=t_end, steps=steps,
-            halving_tol=1e-6 if halving_tol is None else halving_tol,
-            max_refine=max_refine)
-    halving_tol = 1e-8 if halving_tol is None else halving_tol
-
+        raise ValueError("lindblad_propagate evolves dense scenarios; the periodic "
+                         "grid's density matrix comes from grid_lindblad_channels")
+    t_end, steps = scenario.grid.t_end, scenario.grid.steps
     d = rho0.dim
     liou = _liouvillian(scenario)
     v0 = rho0.entries.reshape(-1)
@@ -486,10 +463,10 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario, *,
     exact = (expm(liou * t_end) @ v0).reshape(d, d)
     scale = max(float(np.abs(rhos).max()), 1.0)
     err = float(np.abs(rhos[-1] - exact).max()) / scale
-    if not err <= halving_tol:
+    if not err <= DENSE_HALVING_TOL:
         raise NumericalFailure(
             f"density-matrix propagation not accurate: {2 * steps} exact steps "
-            f"end {err:.3e} away from exp(L t) rho0 (tolerance {halving_tol})")
+            f"end {err:.3e} away from exp(L t) rho0 (tolerance {DENSE_HALVING_TOL})")
     final = DensityMatrix(rhos[-1])  # validates trace/positivity
     return LindbladSeries(times=np.linspace(0.0, t_end, 2 * steps + 1), rhos=rhos,
                           final_rho=final.entries, achieved_halving_error=err)
@@ -649,67 +626,55 @@ def _grid_channels_once(scenario: Scenario, steps: int):
     return seam_max, _rho_from_sectors(q)
 
 
-def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario, *,
-                           t_end: Optional[float] = None, steps: Optional[int] = None,
-                           halving_tol: float = 1e-6,
-                           max_refine: int = GRID_MAX_REFINE) -> LindbladSeries:
+def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario) -> LindbladSeries:
     """Deterministic evolution for the periodic-grid particle.
 
-    ``rho0`` must equal the scenario's pure initial state (mixed grid
-    inputs are out of scope).  The split-step integrator
+    ``rho0`` must be the projector onto the scenario's initial state
+    (mixed grid inputs are out of scope); since a density matrix is
+    positive with unit trace, rho0 psi0 = psi0 holds for that projector
+    only, and that is what is checked.  The split-step integrator
     (:func:`_grid_channels_once`, on the ring: minimum-image collapse
     distances, as in the channels) gives the final rho; the halving check
-    compares the final rho of successive step counts, with at most
-    ``max_refine`` step doublings (default ``GRID_MAX_REFINE``, the same
-    cap as :func:`lindblad_propagate`).  The energy channels come from
+    compares the final rho of successive step counts, from the scenario's
+    own, until they differ by less than ``GRID_HALVING_TOL``, with at most
+    ``GRID_MAX_REFINE`` step doublings.  The energy channels come from
     :func:`grid_energy_channels`, and ``seam_mass_max`` is the one the
     split-step measured.
 
     Raises
     ------
     ValueError
-        For a negative ``max_refine``, before any split-step runs.
+        If ``rho0`` is not the projector onto psi0.
     NumericalFailure
-        Before any split-step runs when ``max_refine`` is 0, since no
-        halving check can then be made; at once after a halving
-        comparison, passed or not, whose finer run measured more than
-        ``tolerances.SEAM_MASS`` of the probability at the periodic seam
-        (on the ring a wrapped packet still converges, so only the seam
-        mass shows that the periodic grid is at fault); otherwise when the
-        check still fails at the refinement cap; and when
-        :func:`grid_energy_channels` refuses the run for its seam mass.
+        At once after a halving comparison, passed or not, whose finer run
+        measured more than ``tolerances.SEAM_MASS`` of the probability at
+        the periodic seam (on the ring a wrapped packet still converges,
+        so only the seam mass shows that the periodic grid is at fault);
+        otherwise when the check still fails at the refinement cap; and
+        when :func:`grid_energy_channels` refuses the run for its seam
+        mass.
     """
-    t_end_eff = scenario.grid.t_end if t_end is None else t_end
-    steps_eff = scenario.grid.steps if steps is None else steps
-    if t_end_eff != scenario.grid.t_end:
-        scenario = replace(scenario, grid=TimeGrid(t_end_eff, steps_eff))
+    steps = scenario.grid.steps
     psi = scenario.psi0.amplitudes
-    if float(np.abs(rho0.entries - np.outer(psi, psi.conj())).max()) > 1e-9:
+    if float(np.abs(rho0.entries @ psi - psi).max()) > 1e-9:
         raise ValueError("grid evolution requires rho0 = |psi0><psi0|")
-    if max_refine < 0:
-        raise ValueError(f"max_refine must be >= 0, got {max_refine} "
-                         f"(grid evolution at {steps_eff} steps)")
-    if max_refine == 0:
-        raise NumericalFailure(
-            f"grid evolution cannot be checked: max_refine=0 allows no halving "
-            f"at {steps_eff} steps")
 
-    rho_c = _grid_channels_once(scenario, steps_eff)[1]
-    for _ in range(max_refine):
-        seam2, rho2 = _grid_channels_once(scenario, 2 * steps_eff)
+    rho_c = _grid_channels_once(scenario, steps)[1]
+    for _ in range(GRID_MAX_REFINE):
+        seam2, rho2 = _grid_channels_once(scenario, 2 * steps)
         scale = max(float(np.abs(rho2).max()), 1.0)
         err = float(np.abs(rho2 - rho_c).max()) / scale
         if seam2 > SEAM_MASS:
             raise NumericalFailure(
                 f"grid evolution not trusted: probability mass {seam2:.3e} "
                 f"reached the periodic seam (limit {SEAM_MASS}) in the split-step; "
-                f"halving at {2 * steps_eff} steps moves the final density "
+                f"halving at {2 * steps} steps moves the final density "
                 f"matrix by {err:.3e}")
-        if err < halving_tol:
+        if err < GRID_HALVING_TOL:
             return replace(grid_energy_channels(scenario), final_rho=rho2,
                            achieved_halving_error=err, seam_mass_max=seam2)
         rho_c = rho2
-        steps_eff *= 2
+        steps *= 2
     raise NumericalFailure(
-        f"grid evolution did not converge: halving at {steps_eff} steps "
+        f"grid evolution did not converge: halving at {steps} steps "
         f"still moves the final density matrix by {err:.3e}")

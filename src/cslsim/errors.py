@@ -21,18 +21,6 @@ class ZeroNormError(ValueError):
     """An operation that requires a normalizable state got a zero-norm one."""
 
 
-class RangeOverflowError(ArithmeticError):
-    """An exponent is outside the representable range of float64.
-
-    Raised instead of silently producing inf/0 so that runaway parameters
-    surface as a diagnosable failure.
-    """
-
-    def __init__(self, message, exponent=None):
-        self.exponent = exponent
-        super().__init__(message)
-
-
 class ConfigError(ValueError):
     """A run configuration failed validation.
 

@@ -3,12 +3,10 @@
 Everything downstream (trajectories, ensembles, energy bookkeeping) is
 built on three immutable value types defined here -- ``StateVector``,
 ``HermitianOperator`` and ``Spectrum`` -- plus a handful of pure
-operations on them.  Matrix functions of Hermitian operators are always
-evaluated through an eigendecomposition; no series expansions or
-splittings are used at this level, so the only error source is the
-eigensolver itself.  The one exception is ``expm``, the exponential of a
-general (non-normal, possibly defective) matrix such as a Lindblad
-generator, which uses Pade scaling and squaring instead.
+operations on them: the eigendecomposition, eigenvalue grouping, the
+double commutator, and ``expm``, the exponential of a general
+(non-normal, possibly defective) matrix such as a Lindblad generator,
+by Pade scaling and squaring.
 
 Determinism contract: the eigendecomposition orders eigenvalues
 ascending and fixes each eigenvector's global phase by making its first
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances
-from .errors import NonHermitianError, RangeOverflowError, ZeroNormError
+from .errors import NonHermitianError, ZeroNormError
 
 # Largest exponent handed to np.exp before we call the result an overflow.
 EXP_LIMIT = 700.0
@@ -51,8 +49,8 @@ class StateVector:
 
     The amplitudes are stored as an immutable complex128 array.  A state
     with exactly zero norm is legal to construct (it can arise as the
-    limit of strong collapse suppression) but is flagged as degenerate;
-    operations that need a direction through it raise ``ZeroNormError``.
+    limit of strong collapse suppression); normalizing it raises
+    ``ZeroNormError``.
     States are never normalized behind the caller's back.
     """
 
@@ -73,11 +71,6 @@ class StateVector:
     @property
     def norm2(self) -> float:
         return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the state carries no direction (zero norm)."""
-        return self.norm2 == 0.0
 
     def normalized(self) -> "StateVector":
         n2 = self.norm2
@@ -105,16 +98,6 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    def reconstruct(self) -> np.ndarray:
-        """Return V diag(w) V^dag, the matrix this spectrum came from."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-    def apply_function(self, values: np.ndarray) -> np.ndarray:
-        """Return V diag(values) V^dag for per-eigenvalue ``values``."""
-        v = self.eigenvectors
-        return (v * np.asarray(values)) @ v.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,27 +170,6 @@ def eigendecompose(op: HermitianOperator) -> Spectrum:
     return Spectrum(w, _fix_phases(v))
 
 
-def herm_exp(op: HermitianOperator, scale: complex) -> np.ndarray:
-    """Matrix exponential exp(scale * op) of a Hermitian operator.
-
-    Evaluated through the eigendecomposition, so a purely imaginary
-    ``scale`` yields a unitary matrix to working precision.  If the real
-    part of ``scale * eigenvalue`` exceeds the float64 exponent range the
-    call fails with ``RangeOverflowError`` rather than returning inf.
-    """
-    spec = op.spectrum()
-    z = complex(scale) * spec.eigenvalues
-    worst = float(np.max(z.real))
-    if worst > EXP_LIMIT:
-        raise RangeOverflowError(
-            f"herm_exp exponent {worst:.1f} exceeds float64 range "
-            f"(scale={scale!r}, eigenvalue range "
-            f"[{spec.eigenvalues[0]:.3g}, {spec.eigenvalues[-1]:.3g}])",
-            exponent=worst,
-        )
-    return spec.apply_function(np.exp(z))
-
-
 # For the Pade degrees m = 3, 5, 7, 9: the 1-norm bound theta_m below which
 # the degree-m approximant is accurate to double precision, and its
 # coefficients b_0..b_m (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179).
@@ -277,26 +239,6 @@ def eigenvalue_groups(values: np.ndarray) -> tuple:
     return np.stack([lo, hi], axis=1), np.add.reduceat(values, lo) / (hi - lo)
 
 
-def interaction_picture(a: HermitianOperator, h: HermitianOperator, t: float) -> HermitianOperator:
-    """Conjugate ``a`` by the propagator of ``h``: exp(iht) a exp(-iht).
-
-    This is the Heisenberg-rotated observable used throughout the
-    trajectory layer.  The rotation is unitary, so the spectrum of the
-    result equals the spectrum of ``a``.
-    """
-    if a.dim != h.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {h.dim}")
-    if t == 0.0:
-        return a
-    spec = h.spectrum()
-    u = spec.eigenvectors * np.exp(1j * spec.eigenvalues * t)
-    rotated = u @ (spec.eigenvectors.conj().T @ a.matrix @ spec.eigenvectors) @ u.conj().T
-    # Conjugation is Hermitian up to rounding; symmetrize the dust so the
-    # constructor's check reflects a real defect, not accumulated noise.
-    rotated = 0.5 * (rotated + rotated.conj().T)
-    return HermitianOperator(rotated)
-
-
 def double_commutator(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """[a, [a, b]] for Hermitian a, b (itself Hermitian)."""
     if a.dim != b.dim:
@@ -306,28 +248,3 @@ def double_commutator(a: HermitianOperator, b: HermitianOperator) -> HermitianOp
     outer = 0.5 * (outer + outer.conj().T)
     return HermitianOperator(outer)
 
-
-def expectation(op: HermitianOperator, psi: StateVector) -> float:
-    """Normalized expectation value <psi|op|psi> / <psi|psi>.
-
-    The result of the quadratic form is real up to rounding; the
-    imaginary residue is checked against ``tolerances.ALGEBRA`` (scaled)
-    and then discarded.  A zero-norm state is rejected.
-    """
-    if op.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: {op.dim} vs {psi.dim}")
-    n2 = psi.norm2
-    if n2 == 0.0:
-        raise ZeroNormError("expectation value of a zero-norm state is undefined")
-    raw = np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes) / n2
-    scale = max(abs(raw), float(np.max(np.abs(op.matrix))), 1.0)
-    if abs(raw.imag) > tolerances.ALGEBRA * scale:
-        raise NonHermitianError(abs(raw.imag), tolerances.ALGEBRA * scale)
-    return float(raw.real)
-
-
-def variance(op: HermitianOperator, psi: StateVector) -> float:
-    """Normalized variance <op^2> - <op>^2 (clipped at zero)."""
-    mean = expectation(op, psi)
-    second = HermitianOperator(op.matrix @ op.matrix)
-    return max(expectation(second, psi) - mean * mean, 0.0)

@@ -39,7 +39,6 @@ class EnergyLedger:
     system: np.ndarray
     field: np.ndarray
     interaction: np.ndarray
-    label: str = ""
 
     @property
     def total(self) -> np.ndarray:
@@ -101,27 +100,25 @@ def field_energy_quadrature(scenario: Scenario, series: LindbladSeries) -> np.nd
     return out
 
 
-def build_ledger(scenario: Scenario, *, steps: Optional[int] = None,
-                 series: Optional[LindbladSeries] = None,
-                 label: str = "") -> EnergyLedger:
+def build_ledger(scenario: Scenario, *,
+                 series: Optional[LindbladSeries] = None) -> EnergyLedger:
     """Assemble the full ledger for a scenario.
 
-    Runs the deterministic evolution from the scenario's pure initial
-    state unless a precomputed ``series`` is supplied.  Grid scenarios
-    take their exact channels from :func:`grid_energy_channels` instead,
-    so ``steps`` does not apply to them.
+    Unless a precomputed ``series`` is supplied, dense scenarios run the
+    deterministic evolution from their pure initial state on their own
+    time grid, and grid scenarios take their exact channels from
+    :func:`grid_energy_channels`.
     """
     if series is None and scenario.grid_info is not None:
         series = grid_energy_channels(scenario)
     elif series is None:
         rho0 = DensityMatrix.from_state(scenario.psi0)
-        series = lindblad_propagate(rho0, scenario, steps=steps)
+        series = lindblad_propagate(rho0, scenario)
     sys_series = system_energy(series, scenario.hamiltonian)
     field_series = field_energy_quadrature(scenario, series)
     # The interaction energy is identically zero in ensemble mean.
     return EnergyLedger(times=series.times.copy(), system=sys_series,
-                        field=field_series, interaction=np.zeros_like(series.times),
-                        label=label or scenario.label)
+                        field=field_series, interaction=np.zeros_like(series.times))
 
 
 def conservation_check(ledger: EnergyLedger) -> float:

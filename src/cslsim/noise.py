@@ -47,8 +47,6 @@ class CollapseParams:
 
     def __post_init__(self):
         # lam = 0 is the closed-system limit: no noise, no dissipator.
-        # It is legal everywhere except the Gaussian path density, which
-        # is singular there.
         if not (self.lam >= 0.0) or not np.isfinite(self.lam):
             raise ValueError(f"collapse rate must be non-negative and finite, got {self.lam}")
         if not (self.hbar > 0.0) or not np.isfinite(self.hbar):
@@ -76,11 +74,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """Grid points t_0 = 0 ... t_S = t_end (length steps + 1)."""
         return np.linspace(0.0, self.t_end, self.steps + 1)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        """Interval midpoints, where the evolution evaluates operators."""
-        return (np.arange(self.steps) + 0.5) * self.dt
 
 
 @dataclass(frozen=True, eq=False)

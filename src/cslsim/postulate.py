@@ -6,14 +6,12 @@ energy exactly when the two branches have disjoint momentum support:
 the pointwise product phi2*(p) phi1(p) is then zero, and with it every
 cross matrix element of exp(i b P) and exp(i a P^2 / 2M).  This module
 renders that statement, and its tail-behavior cost, on a finite momentum
-grid: windowed polynomial states, their position-space tail exponents,
-moment divergence under domain doubling, the equal-phase translation
-symmetry, and the Gaussian translate overlap used in the apparatus
-argument.  Everything here uses hbar = 1.
+grid: windowed polynomial states, the generating-function residuals
+of a branch pair, position-space tail exponents and moment divergence
+under domain doubling.  Everything here uses hbar = 1.
 
-The momentum <-> position transforms are exactly unitary on the grid
-(dx * dp * n = 2 pi), so round trips are identities to machine precision
-and norms can be checked in either representation.
+The momentum -> position transform is exactly unitary on the grid
+(dx * dp * n = 2 pi), so norms can be checked in either representation.
 """
 
 from __future__ import annotations
@@ -138,14 +136,6 @@ def to_position(grid: MomentumGrid, phi_p: np.ndarray) -> np.ndarray:
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     core = n * np.fft.ifft(phi_p * signs)
     return (grid.dp / math.sqrt(2.0 * math.pi)) * np.exp(1j * grid.p_min * grid.positions) * core
-
-
-def to_momentum(grid: MomentumGrid, psi_x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_position`; the round trip is an identity."""
-    n = grid.n_points
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    core = np.fft.fft(psi_x * np.exp(-1j * grid.p_min * grid.positions))
-    return (grid.dx / math.sqrt(2.0 * math.pi)) * signs * core
 
 
 def _same_grid(a: MomentumState, b: MomentumState) -> None:
@@ -403,66 +393,3 @@ def moment_divergence_scan(builder: Callable[[MomentumGrid], MomentumState],
         verdict = "undecided"
     return MomentScan(orders=sizes, values=values, ratios=ratios, verdict=verdict)
 
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Translation-overlap scan of an equal-phase pair."""
-
-    shifts: np.ndarray
-    magnitudes: np.ndarray
-    max_asymmetry: float
-    symmetric: bool
-    peak_positive: float
-    peak_negative: float
-
-
-def equal_phase_symmetry(envelope1: Callable[[np.ndarray], np.ndarray],
-                         envelope2: Callable[[np.ndarray], np.ndarray],
-                         theta: Callable[[np.ndarray], np.ndarray],
-                         grid: MomentumGrid, b_max: float,
-                         n_shifts: int = 201) -> SymmetryReport:
-    """Check |I(b)| = |I(-b)| for branches with a common momentum phase.
-
-    The branches are built as R_i(p) exp(i theta(p)), orthogonalized, and
-    the translated overlap I(b) = <phi2| exp(i b P) |phi1> is scanned over
-    b in [-b_max, b_max].  With a common phase profile the modulus is an
-    even function of b; the report records the largest violation and the
-    location of the symmetric maxima.
-    """
-    p = grid.momenta
-    phi1 = MomentumState(grid, _normalized(grid, envelope1(p) * np.exp(1j * theta(p))))
-    phi2_raw = MomentumState(grid, _normalized(grid, envelope2(p) * np.exp(1j * theta(p))))
-    sup = make_superposition(1 / math.sqrt(2), 1 / math.sqrt(2), phi1, phi2_raw)
-    phi2 = sup.phi2
-
-    if n_shifts % 2 == 0:
-        n_shifts += 1
-    shifts = np.linspace(-b_max, b_max, n_shifts)
-    mags = np.array([abs(generating_overlap_P(phi1, phi2, b)) for b in shifts])
-    half = n_shifts // 2
-    asym = float(np.max(np.abs(mags[half + 1:] - mags[:half][::-1])))
-    pos = shifts[half + 1:][np.argmax(mags[half + 1:])]
-    neg = shifts[:half][np.argmax(mags[:half])]
-    return SymmetryReport(shifts=shifts, magnitudes=mags,
-                          max_asymmetry=asym, symmetric=asym <= 1e-8,
-                          peak_positive=float(pos), peak_negative=float(neg))
-
-
-def gaussian_translate_overlap(sigma: float, b: float) -> float:
-    """|<Gamma| exp(i b P) |Gamma>| for a Gaussian of position spread sigma.
-
-    Closed form exp(-b^2 / 8 sigma^2): strictly positive for every finite
-    shift, which is the apparatus-state argument against exact overlap
-    vanishing.  Underflows to 0.0 for b >> sigma; use
-    :func:`log_gaussian_translate_overlap` in that regime.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    return math.exp(log_gaussian_translate_overlap(sigma, b))
-
-
-def log_gaussian_translate_overlap(sigma: float, b: float) -> float:
-    """Log of the Gaussian translate overlap, exact at any shift."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    return -(b * b) / (8.0 * sigma * sigma)

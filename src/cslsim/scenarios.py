@@ -17,7 +17,6 @@ from .propagation import GridInfo
 from .trajectory import Scenario
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -40,7 +39,7 @@ def two_level_collapse(*, weight_upper: float = 0.7, gap: float = 2.0,
                     np.sqrt(1.0 - weight_upper) * np.exp(1j * relative_phase)])
     return Scenario(hamiltonian=ham, collapse_op=coupling, psi0=StateVector(amp),
                     params=CollapseParams(lam=lam, hbar=hbar),
-                    grid=TimeGrid(t_end, steps), label="two_level")
+                    grid=TimeGrid(t_end, steps))
 
 
 def qubit_dephasing(*, omega: float = 1.0, lam: float = 0.2, t_end: float = 2.0,
@@ -57,7 +56,7 @@ def qubit_dephasing(*, omega: float = 1.0, lam: float = 0.2, t_end: float = 2.0,
     amp = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     return Scenario(hamiltonian=ham, collapse_op=coupling, psi0=StateVector(amp),
                     params=CollapseParams(lam=lam, hbar=hbar),
-                    grid=TimeGrid(t_end, steps), label="qubit_dephasing")
+                    grid=TimeGrid(t_end, steps))
 
 
 def free_particle_grid(*, n_points: int = 1024, dx: float = 0.25,
@@ -79,8 +78,7 @@ def free_particle_grid(*, n_points: int = 1024, dx: float = 0.25,
     amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2))
     return Scenario(hamiltonian=None, collapse_op=None, psi0=StateVector(amp),
                     params=CollapseParams(lam=lam, hbar=hbar),
-                    grid=TimeGrid(t_end, steps), grid_info=info,
-                    label="free_particle_grid")
+                    grid=TimeGrid(t_end, steps), grid_info=info)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, *,
@@ -110,4 +108,4 @@ def random_dense(seed: int, *, dim: int = 8, lam: float = 0.3,
     amp = amp / np.linalg.norm(amp)
     return Scenario(hamiltonian=ham, collapse_op=coupling, psi0=StateVector(amp),
                     params=CollapseParams(lam=lam, hbar=hbar),
-                    grid=TimeGrid(t_end, steps), label=f"random_dense_{seed}")
+                    grid=TimeGrid(t_end, steps))

@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NumericalFailure
-from .hilbert import HermitianOperator, StateVector, eigenvalue_groups
+from .hilbert import HermitianOperator, StateVector
 from .noise import CollapseParams, NoisePath, TimeGrid, standard_increments
 from .propagation import GridInfo, evolve_batch, field_energy_sweep, make_backend
 from .tolerances import CONSTRUCTION
@@ -41,7 +41,6 @@ class Scenario:
     params: CollapseParams
     grid: TimeGrid
     grid_info: Optional[GridInfo] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.grid_info is None:
@@ -63,15 +62,6 @@ class Scenario:
         return self.psi0.dim
 
 
-@dataclass(frozen=True)
-class CollapseMetrics:
-    """How close a state is to a collapse outcome."""
-
-    variance: float
-    nearest_eigenvalue: float
-    distance: float
-
-
 @dataclass
 class TrajectoryResult:
     """Everything recorded along one path.
@@ -85,7 +75,6 @@ class TrajectoryResult:
     """
 
     mode: str
-    lam: float
     times: np.ndarray
     w: np.ndarray
     weight: float
@@ -100,14 +89,6 @@ class TrajectoryResult:
     field_energy_sample: Optional[float] = None
     stored_states: Optional[np.ndarray] = None
     stored_steps: Optional[np.ndarray] = None
-
-    @property
-    def log_density(self) -> float:
-        """Log of the unnormalized path density with respect to the flat
-        path measure: reduced norm squared times the Gaussian factor."""
-        if self.lam == 0.0:
-            return self.log_reduced_norm2
-        return self.log_reduced_norm2 - self.sum_w2dt / (2.0 * self.lam)
 
 
 def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
@@ -176,7 +157,6 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
 
     result = TrajectoryResult(
         mode=mode,
-        lam=params.lam,
         times=grid.times,
         w=batch.w[0].copy(),
         weight=weight,
@@ -194,28 +174,3 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
     )
     return result
 
-
-def collapse_metrics(psi: StateVector, coupling: HermitianOperator) -> CollapseMetrics:
-    """Distance of a state from the nearest collapse outcome.
-
-    Returns the coupling variance in the normalized state, the distinct
-    eigenvalue nearest to the coupling mean, and one minus the squared
-    projection onto that eigenvalue's eigenspace.  Eigenvalues are grouped
-    by :func:`cslsim.hilbert.eigenvalue_groups`, so degenerate couplings
-    collapse to subspaces, not individual vectors.
-    """
-    psin = psi.normalized()
-    spec = coupling.spectrum()
-    vals = spec.eigenvalues
-    coeffs = spec.eigenvectors.conj().T @ psin.amplitudes
-    probs = coeffs.real**2 + coeffs.imag**2
-    mean = float(probs @ vals)
-    var = max(float(probs @ (vals * vals)) - mean * mean, 0.0)
-
-    groups, reps = eigenvalue_groups(vals)
-    idx = int(np.argmin(np.abs(reps - mean)))
-    a, b = groups[idx]
-    captured = float(probs[a:b].sum())
-    return CollapseMetrics(variance=var,
-                           nearest_eigenvalue=float(reps[idx]),
-                           distance=max(1.0 - captured, 0.0))

@@ -9,11 +9,111 @@ dense propagation kernel is checked against its earlier row-major form,
 kept here, and the ledger's drift formula against the rotating-frame
 expectation it differentiates.  Eigenvalue grouping is checked against its earlier
 loop.
+
+The rest are oracles the package itself has no use for: the
+interaction-picture rotation, the inverse momentum transform, the
+closed-form Gaussian translate overlap, the equal-phase symmetry scan,
+the distance of a state from its nearest collapse outcome, and the
+ensemble's density matrix from its kept final states.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from cslsim.hilbert import DEGENERACY_RTOL, interaction_picture
+from cslsim.ensemble import DensityMatrix
+from cslsim.hilbert import DEGENERACY_RTOL, HermitianOperator, eigenvalue_groups
+from cslsim.postulate import MomentumState, generating_overlap_P, make_superposition
+
+
+def interaction_picture(a, h, t):
+    """Conjugate ``a`` by the propagator of ``h``: exp(iht) a exp(-iht),
+    through the eigendecomposition of ``h``, symmetrized."""
+    if a.dim != h.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {h.dim}")
+    if t == 0.0:
+        return a
+    spec = h.spectrum()
+    u = spec.eigenvectors * np.exp(1j * spec.eigenvalues * t)
+    rotated = u @ (spec.eigenvectors.conj().T @ a.matrix @ spec.eigenvectors) @ u.conj().T
+    return HermitianOperator(0.5 * (rotated + rotated.conj().T))
+
+
+def to_momentum(grid, psi_x):
+    """Inverse of :func:`cslsim.postulate.to_position`."""
+    n = grid.n_points
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    core = np.fft.fft(psi_x * np.exp(-1j * grid.p_min * grid.positions))
+    return (grid.dx / math.sqrt(2.0 * math.pi)) * signs * core
+
+
+def gaussian_translate_overlap(sigma, b):
+    """|<Gamma| exp(i b P) |Gamma>| = exp(-b^2 / 8 sigma^2) for a Gaussian
+    of position spread sigma: positive at every finite shift."""
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    return math.exp(-(b * b) / (8.0 * sigma * sigma))
+
+
+def equal_phase_symmetry(envelope1, envelope2, theta, grid, b_max, n_shifts=201):
+    """Scan |I(b)|, I(b) = <phi2| exp(i b P) |phi1>, over b in [-b_max, b_max]
+    (``n_shifts`` odd) for the branches R_i(p) exp(i theta(p)),
+    orthogonalized.  Returns (largest |I(b)| - |I(-b)|, the positive
+    shift of the largest |I|, the negative one)."""
+    p = grid.momenta
+
+    def state(envelope):
+        phi = envelope(p) * np.exp(1j * theta(p))
+        return MomentumState(grid, phi / math.sqrt(float(np.sum(np.abs(phi) ** 2) * grid.dp)))
+
+    phi1 = state(envelope1)
+    phi2 = make_superposition(1 / math.sqrt(2), 1 / math.sqrt(2), phi1, state(envelope2)).phi2
+    shifts = np.linspace(-b_max, b_max, n_shifts)
+    mags = np.array([abs(generating_overlap_P(phi1, phi2, b)) for b in shifts])
+    half = n_shifts // 2
+    asym = float(np.max(np.abs(mags[half + 1:] - mags[:half][::-1])))
+    pos = shifts[half + 1:][np.argmax(mags[half + 1:])]
+    neg = shifts[:half][np.argmax(mags[:half])]
+    return asym, float(pos), float(neg)
+
+
+@dataclass(frozen=True)
+class CollapseMetrics:
+    """How close a state is to a collapse outcome."""
+
+    variance: float
+    nearest_eigenvalue: float
+    distance: float
+
+
+def collapse_metrics(psi, coupling):
+    """The coupling variance in the normalized ``psi``, the distinct
+    eigenvalue nearest to the coupling mean, and one minus the squared
+    projection onto that eigenvalue's eigenspace (eigenvalues grouped by
+    :func:`cslsim.hilbert.eigenvalue_groups`)."""
+    psin = psi.normalized()
+    spec = coupling.spectrum()
+    vals = spec.eigenvalues
+    coeffs = spec.eigenvectors.conj().T @ psin.amplitudes
+    probs = coeffs.real**2 + coeffs.imag**2
+    mean = float(probs @ vals)
+    var = max(float(probs @ (vals * vals)) - mean * mean, 0.0)
+    groups, reps = eigenvalue_groups(vals)
+    idx = int(np.argmin(np.abs(reps - mean)))
+    a, b = groups[idx]
+    return CollapseMetrics(variance=var, nearest_eigenvalue=float(reps[idx]),
+                           distance=max(1.0 - float(probs[a:b].sum()), 0.0))
+
+
+def ensemble_density_matrix(stats):
+    """Weighted average of |psi><psi| over an ensemble's kept final states."""
+    if stats.final_states is None:
+        raise ValueError("run the ensemble with keep_final_states=True")
+    psi = stats.final_states
+    rho = np.einsum("b,bi,bj->ij", stats.final_weights, psi, psi.conj())
+    rho /= np.trace(rho).real
+    return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 def loop_eigenvalue_groups(values):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from cslsim.cli import EXIT_CONFIG, EXIT_OK, main
+from cslsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from cslsim.reports import format_float, jsonable, sha256_digest, write_csv, write_json
 
 
@@ -219,6 +219,25 @@ class TestLedgerCommand:
         summary = json.loads((out / "qd_ledger_summary.json").read_text())
         assert summary["passed"] is True
         check_manifest_digests(out, out / "qd_manifest.json")
+
+    def test_mass_at_the_seam_exits_with_the_numerical_status(self, tmp_path,
+                                                               capsys):
+        # The packet starts 8 units from the edge of a 64-unit ring and
+        # spreads across the seam within the span.
+        doc = {
+            "kind": "free_particle_grid",
+            "params": {"n_points": 256, "dx": 0.25, "sigma0": 2.0,
+                       "lam": 0.002, "x0": 24.0},
+            "grid": {"t_end": 8.0, "steps": 32},
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["ledger", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert stderr.startswith("numerical failure: ")
+        assert "reached the periodic seam" in stderr
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestPostulateCommand:

@@ -8,10 +8,10 @@ unit mean of raw importance weights.
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import SECTOR_MATCH
+from oracles import SECTOR_MATCH, ensemble_density_matrix
 
-from cslsim.ensemble import (DensityMatrix, _grid_channels_once,
-                             ensemble_density_matrix, grid_energy_channels,
+from cslsim import ensemble
+from cslsim.ensemble import (DensityMatrix, _grid_channels_once, grid_energy_channels,
                              lindblad_propagate, run_ensemble)
 from cslsim.errors import LowEffectiveSampleError, NumericalFailure
 from cslsim.hilbert import HermitianOperator, expm
@@ -149,21 +149,21 @@ class TestLindbladEvolution:
         np.testing.assert_allclose(series.final_rho, 0.5 * np.eye(2),
                                    atol=1e-12)
 
-    def test_inaccurate_propagation_fails(self):
+    def test_inaccurate_propagation_fails(self, monkeypatch):
         scenario = random_dense(501, dim=4, lam=0.4, t_end=1.5, steps=256)
         rho0 = DensityMatrix.from_state(scenario.psi0)
         figure = lindblad_propagate(rho0, scenario).achieved_halving_error
-        assert figure > 0.0
+        assert 0.0 < figure <= ensemble.DENSE_HALVING_TOL
+        monkeypatch.setattr(ensemble, "DENSE_HALVING_TOL", 0.5 * figure)
         with pytest.raises(NumericalFailure, match="not accurate"):
-            lindblad_propagate(rho0, scenario, halving_tol=0.5 * figure)
+            lindblad_propagate(rho0, scenario)
 
-    def test_no_refinement_budget_fails_naming_the_step_count(self):
-        # The grid integrator holds the only halving loop.
+    def test_a_grid_scenario_is_refused_naming_the_grid_integrator(self):
         scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0,
                                       lam=0.05, t_end=1.0, steps=32)
         rho0 = DensityMatrix.from_state(scenario.psi0)
-        with pytest.raises(NumericalFailure, match="at 32 steps"):
-            lindblad_propagate(rho0, scenario, max_refine=0)
+        with pytest.raises(ValueError, match="grid_lindblad_channels"):
+            lindblad_propagate(rho0, scenario)
 
     @pytest.mark.parametrize("dim,steps", [(2, 1), (4, 64), (5, 300)])
     def test_dense_series_matches_the_expm_oracle_at_every_time(self, dim, steps):
@@ -295,13 +295,15 @@ class TestEnsembleStatistics:
         assert f_up + f_dn == pytest.approx(1.0, abs=1e-12)
         assert e_up > 0.0 and e_dn > 0.0
 
-    def test_low_effective_sample_refusal_and_override(self):
+    def test_low_effective_sample_refusal_and_override(self, monkeypatch):
         deep = two_level_collapse()  # t_end = 5: raw weights degenerate
         with pytest.raises(LowEffectiveSampleError) as exc:
             run_ensemble(deep, 200, "raw", 12)
+        assert exc.value.floor == ensemble.ESS_FLOOR
         assert exc.value.ess < exc.value.floor
         assert exc.value.n == 200
-        stats = run_ensemble(deep, 200, "raw", 12, ess_floor=0.0)
+        monkeypatch.setattr(ensemble, "ESS_FLOOR", 0.0)
+        stats = run_ensemble(deep, 200, "raw", 12)
         assert stats.effective_sample_size < 100.0
 
     def test_overflowing_paths_fail_the_run(self):

@@ -14,8 +14,6 @@ is checked against the mass the split-step measures, and its energy
 against the final rho's where the coherence reaches the seam.
 """
 
-import inspect
-
 import numpy as np
 import pytest
 from oracles import (SECTOR_MATCH, dense_kinetic_hamiltonian, fourier_energy, sectors,
@@ -23,8 +21,7 @@ from oracles import (SECTOR_MATCH, dense_kinetic_hamiltonian, fourier_energy, se
 from scipy.linalg import expm
 
 from cslsim import ensemble
-from cslsim.ensemble import (GRID_MAX_REFINE, DensityMatrix, grid_lindblad_channels,
-                             lindblad_propagate)
+from cslsim.ensemble import DensityMatrix, grid_lindblad_channels
 from cslsim.errors import NumericalFailure
 from cslsim.ledger import build_ledger
 from cslsim.propagation import GridInfo
@@ -167,9 +164,9 @@ def test_every_transform_runs_along_the_last_axis_two_per_step(monkeypatch):
     assert all(calls)
 
 
-def seam_probe(x0):
+def seam_probe(x0, steps=32):
     return free_particle_grid(n_points=256, dx=0.25, sigma0=2.0, lam=0.002,
-                              t_end=8.0, steps=32, x0=x0)
+                              t_end=8.0, steps=steps, x0=x0)
 
 
 def seam_coherence_probe():
@@ -206,13 +203,15 @@ def test_mass_at_the_seam_fails_the_first_halving_naming_it(monkeypatch):
 
 
 def test_halving_that_converges_after_one_refinement_reports_the_refined_run(monkeypatch):
-    scenario = seam_probe(16.0)
-    rho0 = DensityMatrix.from_state(scenario.psi0)
-    t_end = scenario.grid.t_end
+    rho0 = DensityMatrix.from_state(seam_probe(16.0).psi0)
+    t_end = seam_probe(16.0).grid.t_end
 
     def single_halving(steps):
-        return grid_lindblad_channels(rho0, scenario, steps=steps, halving_tol=1.0,
-                                      max_refine=1)
+        # Every halving passes a tolerance of 1, so this is the run at
+        # 2 * steps, checked against the one at steps.
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, "GRID_HALVING_TOL", 1.0)
+            return grid_lindblad_channels(rho0, seam_probe(16.0, steps))
 
     # The halving error falls from about 6.1e-7 (16 against 32 steps) to
     # about 1.5e-7 (32 against 64), so a tolerance of 3e-7 needs exactly
@@ -222,8 +221,9 @@ def test_halving_that_converges_after_one_refinement_reports_the_refined_run(mon
     fine = single_halving(32)
     assert fine.achieved_halving_error < tol
 
+    monkeypatch.setattr(ensemble, "GRID_HALVING_TOL", tol)
     seen = spy_step_counts(monkeypatch)
-    series = grid_lindblad_channels(rho0, scenario, steps=16, halving_tol=tol)
+    series = grid_lindblad_channels(rho0, seam_probe(16.0, 16))
     assert seen == [16, 32, 64]
     np.testing.assert_array_equal(series.times, np.arange(65) * (t_end / 64))
     assert series.sys_energy.size == 65
@@ -234,14 +234,15 @@ def test_halving_that_converges_after_one_refinement_reports_the_refined_run(mon
 
 
 def test_a_coarse_final_rho_fails_the_halving_check(monkeypatch):
-    # 4 against 8 steps moves the final rho by 9.8e-6, above the default
-    # 1e-6, while the energy channels do not depend on the step at all.
-    scenario = seam_probe(16.0)
+    # 4 against 8 steps moves the final rho by 9.8e-6, above
+    # GRID_HALVING_TOL (1e-6), while the energy channels do not depend on
+    # the step at all.
+    scenario = seam_probe(16.0, steps=4)
+    monkeypatch.setattr(ensemble, "GRID_MAX_REFINE", 1)
     seen = spy_step_counts(monkeypatch)
     with pytest.raises(NumericalFailure, match=r"did not converge: halving at 8 steps "
                                                r"still moves the final density matrix"):
-        grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario,
-                               steps=4, max_refine=1)
+        grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
     assert seen == [4, 8]
 
 
@@ -290,19 +291,18 @@ def test_seam_estimate_matches_the_split_step_mass(scenario):
     assert estimate == pytest.approx(measured, rel=0.02)
 
 
-@pytest.mark.parametrize("max_refine,error", [(0, NumericalFailure), (-1, ValueError)])
-def test_a_budget_without_halvings_is_refused_before_any_split_step(monkeypatch,
-                                                                     max_refine, error):
-    scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
-                                  t_end=1.0, steps=32)
+def test_a_mixed_rho0_is_refused_before_any_split_step(monkeypatch):
+    # A 512-point packet mixed with an orthogonal packet at weight 1e-6.
+    scenario = free_particle_grid(n_points=512, dx=0.25, sigma0=4.0, lam=0.002,
+                                  t_end=0.25, steps=8, x0=1.0, p0=0.3)
+    psi = scenario.psi0.amplitudes
+    other = free_particle_grid(n_points=512, dx=0.25, sigma0=4.0, x0=-8.0).psi0.amplitudes
+    other = other - np.vdot(psi, other) * psi
+    other /= np.linalg.norm(other)
+    weight = 1e-6
+    rho0 = DensityMatrix((1.0 - weight) * np.outer(psi, psi.conj())
+                         + weight * np.outer(other, other.conj()))
     seen = spy_step_counts(monkeypatch)
-    with pytest.raises(error, match="at 32 steps") as exc:
-        grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario,
-                               max_refine=max_refine)
-    assert "inf" not in str(exc.value)
+    with pytest.raises(ValueError, match=r"requires rho0 = \|psi0><psi0\|"):
+        grid_lindblad_channels(rho0, scenario)
     assert seen == []
-
-
-def test_both_grid_entry_points_share_one_refinement_cap():
-    for entry in (lindblad_propagate, grid_lindblad_channels):
-        assert inspect.signature(entry).parameters["max_refine"].default == GRID_MAX_REFINE

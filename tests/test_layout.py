@@ -6,12 +6,18 @@
   (``hilbert.EXP_LIMIT``), so its literal appears once.
 * numpy is the only runtime dependency: no module imports scipy, which
   the tests use as an oracle only.
+* The package keeps only what its callers use: every public top-level
+  name is referenced outside its own definition, in the package, the
+  benchmark or the README's library example.  Reference implementations
+  that only tests need live in ``tests/oracles.py``.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cslsim").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "cslsim").glob("*.py"))
 
 
 def parse(path):
@@ -52,3 +58,39 @@ def test_no_module_imports_scipy():
             and (node.module or "").split(".")[0] == "scipy")
     ]
     assert not found, "scipy imported at " + ", ".join(found)
+
+
+def identifiers(tree):
+    """Every name read and every attribute taken under ``tree``."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    statements = [(path.name, stmt) for path in SOURCES for stmt in parse(path).body]
+    used = [identifiers(stmt) for _, stmt in statements]
+    outside = set()
+    for path in sorted((ROOT / "cslbench").glob("*.py")):
+        outside |= identifiers(parse(path))
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
+        outside |= identifiers(ast.parse(block))
+    unused = [
+        f"{module}:{name}"
+        for i, (module, stmt) in enumerate(statements)
+        for name in defined_names(stmt)
+        if not name.startswith("_") and name not in outside
+        and not any(name in ids for j, ids in enumerate(used) if j != i)
+    ]
+    assert not unused, "public names only tests use: " + ", ".join(unused)

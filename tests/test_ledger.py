@@ -7,12 +7,12 @@ exercised here on closed-form scenarios and random dense ones.
 
 import numpy as np
 import pytest
-from oracles import rotating_expectation
+from oracles import interaction_picture, rotating_expectation
 
-from cslsim.ensemble import DensityMatrix, lindblad_propagate, run_ensemble
+from cslsim.ensemble import (DensityMatrix, grid_energy_channels, lindblad_propagate,
+                             run_ensemble)
 from cslsim.errors import NumericalFailure
-from cslsim.hilbert import (HermitianOperator, double_commutator,
-                            interaction_picture)
+from cslsim.hilbert import HermitianOperator, double_commutator
 from cslsim.ledger import (build_ledger, conservation_check,
                            field_energy_quadrature, observable_drift)
 from cslsim.scenarios import (free_particle_grid, qubit_dephasing,
@@ -116,7 +116,7 @@ def test_quadrature_decimation_guard_trips_on_a_coarse_series():
     rho0 = DensityMatrix.from_state(scenario.psi0)
     # 8 steps give a 17-point series: exact per point, but far too coarse
     # for the trapezoid target.
-    series = lindblad_propagate(rho0, scenario, steps=8)
+    series = lindblad_propagate(rho0, scenario)
     assert series.times.size == 17
     with pytest.raises(NumericalFailure, match="not converged"):
         field_energy_quadrature(scenario, series)
@@ -131,8 +131,7 @@ def test_interaction_check_reports_the_ensemble_estimate():
 def test_observable_drift_needs_dense_series():
     scenario = free_particle_grid(n_points=256, dx=0.5, lam=0.01,
                                   t_end=1.0, steps=32)
-    series = lindblad_propagate(DensityMatrix.from_state(scenario.psi0),
-                                scenario)
+    series = grid_energy_channels(scenario)
     q = HermitianOperator(np.diag(scenario.grid_info.positions))
     with pytest.raises(ValueError, match="dense"):
         observable_drift(q, scenario, series)
