@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensemble import DensityMatrix, lindblad_propagate, run_ensemble
 from .errors import LowEffectiveSampleError
-from .ledger import build_ledger, conservation_check, observable_drift, system_energy
+from .ledger import build_ledger, conservation_check, observable_drift
 from .postulate import (MomentumGrid, build_window_state, collapse_residual,
                         gaussian_state, make_superposition,
                         moment_divergence_scan, tail_exponent)
@@ -123,7 +123,7 @@ def _random_scenario_pack():
         h_norm = _operator_norm(scenario.hamiltonian)
         deviation = conservation_check(ledger)
 
-        energy = system_energy(series, scenario.hamiltonian)
+        energy = series.sys_energy
         formula = observable_drift(scenario.hamiltonian, scenario, series)
         h = series.times[1] - series.times[0]
         idx = np.arange(2, series.times.size - 2, 37)

@@ -277,8 +277,6 @@ def cmd_run(args) -> int:
     root.close()
     seeds["master_seed"] = master_seed
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
 
     t0 = time.perf_counter()
@@ -297,6 +295,9 @@ def cmd_run(args) -> int:
         print(f"ledger: deviation {conservation_check(ledger):.3e}, "
               f"{timings['ledger']:.2f}s")
 
+    # The directory is made only once the numerical work has succeeded.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_echo=echo, code_version=__version__, seeds=seeds,
                            timings=timings)
     report = ensemble_report(stats, echo)
@@ -324,8 +325,6 @@ def cmd_ledger(args) -> int:
     scenario, seeds = build_scenario(root, kind)
     root.close()
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
     t0 = time.perf_counter()
     ledger = build_ledger(scenario)
@@ -345,6 +344,9 @@ def cmd_ledger(args) -> int:
         "final_field": float(ledger.field[-1]),
         "final_total": float(ledger.total[-1]),
     }
+    # A ledger out of balance is still written, for inspection.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_echo=echo, code_version=__version__, seeds=seeds,
                            timings=timings)
     path = write_ledger_csv(out_dir / f"{prefix}_ledger.csv", ledger)
@@ -444,8 +446,6 @@ def cmd_postulate(args) -> int:
     params.close()
     root.close()
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
     t0 = time.perf_counter()
 
@@ -472,15 +472,6 @@ def cmd_postulate(args) -> int:
         "verdict": verdict,
     }
 
-    manifest = RunManifest(config_echo=echo, code_version=__version__, seeds={},
-                           timings=timings)
-    path = write_csv(out_dir / f"{prefix}_scan_P.csv", ["b", "residual"],
-                     [b_values, res_p])
-    manifest.add_output(out_dir, path)
-    path = write_csv(out_dir / f"{prefix}_scan_E.csv", ["a", "residual"],
-                     [a_values, res_e])
-    manifest.add_output(out_dir, path)
-
     if tail_spec is not None:
         lo, hi = tail_spec["window"]
         fits = []
@@ -491,23 +482,36 @@ def cmd_postulate(args) -> int:
                          "polynomial": fit.is_polynomial})
         report["tail_fits"] = fits
 
+    moment_tables = {}
     if moment_spec is not None:
         lo, hi = moment_spec["window"]
         k = moment_spec["order"]
         outcomes = []
         for order in moment_spec["orders"]:
-            scan = moment_divergence_scan(
+            scan = moment_tables[order] = moment_divergence_scan(
                 lambda g, n=order: build_window_state(g, lo, hi, n),
                 k, grid, doublings=moment_spec["doublings"])
             outcomes.append({"edge_order": order, "moment_order": k,
                              "verdict": scan.verdict,
                              "ratios": [float(r) for r in scan.ratios]})
-            path = write_csv(out_dir / f"{prefix}_moment_n{order}.csv",
-                             ["domain", "moment"], [scan.orders, scan.values])
-            manifest.add_output(out_dir, path)
         report["moment_scans"] = outcomes
-
     timings["analysis"] = time.perf_counter() - t0
+
+    # The directory is made only once the numerical work has succeeded.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(config_echo=echo, code_version=__version__, seeds={},
+                           timings=timings)
+    path = write_csv(out_dir / f"{prefix}_scan_P.csv", ["b", "residual"],
+                     [b_values, res_p])
+    manifest.add_output(out_dir, path)
+    path = write_csv(out_dir / f"{prefix}_scan_E.csv", ["a", "residual"],
+                     [a_values, res_e])
+    manifest.add_output(out_dir, path)
+    for order, scan in moment_tables.items():
+        path = write_csv(out_dir / f"{prefix}_moment_n{order}.csv",
+                         ["domain", "moment"], [scan.orders, scan.values])
+        manifest.add_output(out_dir, path)
     path = write_json(out_dir / f"{prefix}_report.json", report)
     manifest.add_output(out_dir, path)
     manifest.write(out_dir / f"{prefix}_manifest.json")

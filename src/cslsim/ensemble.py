@@ -46,9 +46,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import LowEffectiveSampleError, NumericalFailure
-from .hilbert import StateVector, eigenvalue_groups, expm
+from .hilbert import StateVector, double_commutator, eigenvalue_groups, expm
 from .noise import block_increments
-from .propagation import evolve_batch, field_energy_sweep, make_backend
+from .propagation import evolve_batch, make_backend
 from .tolerances import ALGEBRA, SEAM_MASS
 from .trajectory import Scenario
 
@@ -72,33 +72,27 @@ def _chunk_size(dim: int) -> int:
     return 4096 if dim <= 16 else 256
 
 
-def _checked_entries(entries) -> np.ndarray:
-    """A read-only complex copy of ``entries`` once it is square, finite,
-    Hermitian and of unit trace."""
-    m = np.array(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError("density matrix must be square and non-empty")
-    if not np.isfinite(m).all():
-        raise ValueError("density matrix entries must be finite")
-    scale = max(float(np.abs(m).max()), 1.0)
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > ALGEBRA * scale:
-        raise ValueError(f"density matrix not Hermitian: defect {asym:.3e}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > ALGEBRA:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1")
-    m.flags.writeable = False
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated density matrix: Hermitian, unit trace, positive."""
+    """A validated density matrix: square, finite, Hermitian, unit trace
+    and positive, held as a read-only complex copy of its entries."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _checked_entries(self.entries)
+        m = np.array(self.entries, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise ValueError("density matrix must be square and non-empty")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
+        scale = max(float(np.abs(m).max()), 1.0)
+        asym = float(np.abs(m - m.conj().T).max())
+        if asym > ALGEBRA * scale:
+            raise ValueError(f"density matrix not Hermitian: defect {asym:.3e}")
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > ALGEBRA:
+            raise ValueError(f"density matrix trace {tr!r} differs from 1")
+        m.flags.writeable = False
         if float(np.linalg.eigvalsh(m).min()) < -ALGEBRA:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", m)
@@ -111,13 +105,16 @@ class DensityMatrix:
     def from_state(cls, psi: StateVector) -> "DensityMatrix":
         """|psi><psi| of the normalized ``psi``.
 
-        A projector is positive semidefinite by construction, so only the
-        eigenvalue test of the general constructor is skipped; on a
-        1024-point grid that test is the costly one.
+        The projector onto a validated, normalized state is Hermitian,
+        of unit trace and positive semidefinite by construction, so none
+        of the general constructor's checks runs: the outer product is
+        the only N x N array built.
         """
         a = psi.normalized().amplitudes
+        m = np.outer(a, a.conj())
+        m.flags.writeable = False
         rho = object.__new__(cls)
-        object.__setattr__(rho, "entries", _checked_entries(np.outer(a, a.conj())))
+        object.__setattr__(rho, "entries", m)
         return rho
 
 
@@ -170,12 +167,9 @@ def _run_chunk(backend, scenario, indices, mode, master_seed, group_starts,
     s = grid.steps
     b = indices.size
     draws = block_increments(grid, params, master_seed, indices)
-    store_every = max(1, int(math.sqrt(s))) if with_field_energy else 0
-    cooked = mode == "cooked"
-    batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, mode=mode,
-                         increments=draws if cooked else None,
-                         given_w=None if cooked else draws,
-                         record_series=record_series, store_every=store_every)
+    batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
+                         mode=mode, record_series=record_series,
+                         with_field_energy=with_field_energy)
 
     ok = ~batch.failed
     n_ok = int(ok.sum())
@@ -204,8 +198,7 @@ def _run_chunk(backend, scenario, indices, mode, master_seed, group_starts,
     out["sum_v2"] = (v**2).sum()
 
     if with_field_energy:
-        f = field_energy_sweep(backend, grid, params, batch)
-        f = np.where(ok, f, 0.0)
+        f = np.where(ok, batch.field_energy, 0.0)
         out["sum_f"] = f.sum()
         out["sum_f2"] = (f**2).sum()
 
@@ -358,12 +351,13 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
 class LindbladSeries:
     """Deterministic evolution record.
 
-    For dense scenarios the full matrix series is kept.  For the grid
-    scenario only scalar channels are stored (the matrices would be
-    prohibitively large): the system energy Tr(H rho), the
-    double-commutator trace Tr([A,[A,H]] rho) feeding the field-energy
-    quadrature, and the final matrix (None in a channels-only series from
-    :func:`grid_energy_channels`).  All matrices are lab frame.
+    Every series carries the two energy channels the ledger reads, the
+    system energy Tr(H rho) and the double-commutator trace
+    Tr([A,[A,H]] rho) feeding the field-energy quadrature.  For dense
+    scenarios the full matrix series is kept too.  For the grid scenario
+    only the final matrix is (the series would be prohibitively large),
+    and a channels-only series from :func:`grid_energy_channels` has
+    none.  All matrices are lab frame.
 
     ``achieved_halving_error`` is the accuracy figure of the run: the
     largest entry difference between the final rho and a reference,
@@ -376,8 +370,8 @@ class LindbladSeries:
     rhos: Optional[np.ndarray]
     final_rho: Optional[np.ndarray]
     achieved_halving_error: Optional[float]
-    sys_energy: Optional[np.ndarray] = None
-    dc_trace: Optional[np.ndarray] = None
+    sys_energy: np.ndarray
+    dc_trace: np.ndarray
     seam_mass_max: Optional[float] = None
 
 
@@ -439,7 +433,8 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario) -> LindbladSerie
     and the series holds rho at all 2 * steps + 1 times.  Its accuracy
     figure, ``achieved_halving_error``, is the largest entry difference
     between the stepped final rho and one exp(L t_end) rho0 (relative to
-    the largest entry, at least 1).
+    the largest entry, at least 1).  The energy channels are traced from
+    the series.
 
     Raises
     ------
@@ -468,8 +463,12 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario) -> LindbladSerie
             f"density-matrix propagation not accurate: {2 * steps} exact steps "
             f"end {err:.3e} away from exp(L t) rho0 (tolerance {DENSE_HALVING_TOL})")
     final = DensityMatrix(rhos[-1])  # validates trace/positivity
+    h = scenario.hamiltonian
+    dc = double_commutator(scenario.collapse_op, h)
     return LindbladSeries(times=np.linspace(0.0, t_end, 2 * steps + 1), rhos=rhos,
-                          final_rho=final.entries, achieved_halving_error=err)
+                          final_rho=final.entries, achieved_halving_error=err,
+                          sys_energy=np.einsum("tij,ji->t", rhos, h.matrix).real,
+                          dc_trace=np.einsum("tij,ji->t", rhos, dc.matrix).real)
 
 
 # The grid channels are read at _GRID_SAMPLES + 1 evenly spaced times, the

@@ -26,7 +26,7 @@ import numpy as np
 from .ensemble import (DensityMatrix, LindbladSeries, grid_energy_channels,
                        lindblad_propagate)
 from .errors import NumericalFailure
-from .hilbert import HermitianOperator, double_commutator
+from .hilbert import HermitianOperator
 from .tolerances import QUADRATURE
 from .trajectory import Scenario
 
@@ -45,32 +45,6 @@ class EnergyLedger:
         return self.system + self.field + self.interaction
 
 
-def system_energy(series: LindbladSeries, hamiltonian: Optional[HermitianOperator]) -> np.ndarray:
-    """Tr(H rho(t)) along a deterministic series.
-
-    Grid series carry this as a precomputed channel (their matrices are
-    not stored); dense series are traced directly.
-    """
-    if series.rhos is None:
-        if series.sys_energy is None:
-            raise ValueError("series carries neither matrices nor an energy channel")
-        return series.sys_energy.copy()
-    if hamiltonian is None:
-        return np.zeros_like(series.times)
-    return np.einsum("tij,ji->t", series.rhos, hamiltonian.matrix).real
-
-
-def _dc_integrand(scenario: Scenario, series: LindbladSeries) -> np.ndarray:
-    if series.rhos is None:
-        if series.dc_trace is None:
-            raise ValueError("series carries neither matrices nor the commutator channel")
-        return series.dc_trace.copy()
-    if scenario.hamiltonian is None:
-        return np.zeros_like(series.times)
-    d = double_commutator(scenario.collapse_op, scenario.hamiltonian)
-    return np.einsum("tij,ji->t", series.rhos, d.matrix).real
-
-
 def field_energy_quadrature(scenario: Scenario, series: LindbladSeries) -> np.ndarray:
     """Field energy transferred by time t, as a cumulative quadrature.
 
@@ -80,7 +54,7 @@ def field_energy_quadrature(scenario: Scenario, series: LindbladSeries) -> np.nd
     second sample) must agree to quadrature tolerance, otherwise the
     series is too coarse and the call fails.
     """
-    f = 0.5 * scenario.params.lam * _dc_integrand(scenario, series)
+    f = 0.5 * scenario.params.lam * series.dc_trace
     t = series.times
     dt = np.diff(t)
     increments = 0.5 * (f[1:] + f[:-1]) * dt
@@ -114,10 +88,9 @@ def build_ledger(scenario: Scenario, *,
     elif series is None:
         rho0 = DensityMatrix.from_state(scenario.psi0)
         series = lindblad_propagate(rho0, scenario)
-    sys_series = system_energy(series, scenario.hamiltonian)
     field_series = field_energy_quadrature(scenario, series)
     # The interaction energy is identically zero in ensemble mean.
-    return EnergyLedger(times=series.times.copy(), system=sys_series,
+    return EnergyLedger(times=series.times.copy(), system=series.sys_energy.copy(),
                         field=field_series, interaction=np.zeros_like(series.times))
 
 

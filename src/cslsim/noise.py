@@ -78,12 +78,15 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class NoisePath:
-    """A realized step function w with one value per grid interval."""
+    """A realized step function w with one value per grid interval.
+
+    ``mode`` is "raw" (drawn from the Gaussian reference measure, so the
+    path carries its importance weight) or "given" (replayed, weight 1).
+    """
 
     grid: TimeGrid
     values: np.ndarray
     mode: str
-    seed: object = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -93,7 +96,7 @@ class NoisePath:
             )
         if not np.isfinite(v).all():
             raise ValueError("path values must be finite")
-        if self.mode not in ("raw", "cooked", "given"):
+        if self.mode not in ("raw", "given"):
             raise ValueError(f"unknown mode {self.mode!r}")
         v = np.array(v)
         v.flags.writeable = False

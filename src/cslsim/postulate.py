@@ -37,6 +37,8 @@ ORTHO_TOL = 1e-8
 # sitting far outside the core of any windowed state.
 TAIL_FIT_INNER = 1.0 / 128.0
 TAIL_FIT_OUTER = 1.0 / 16.0
+# Logarithmic bins of |x| over the band; a fit needs six of them filled.
+TAIL_FIT_BINS = 12
 
 # A fit is rejected as super-polynomial when the local slope steepens by
 # more than this between the inner and outer halves of the fit window,
@@ -283,31 +285,30 @@ class TailFit:
     is_polynomial: bool
     slope_inner: float
     slope_outer: float
-    n_bins: int
 
 
-def tail_fit(phi: MomentumState, n_bins: int = 12) -> TailFit:
+def tail_fit(phi: MomentumState) -> TailFit:
     """Fit the far-field envelope of |Phi(x)| to a power law.
 
-    The envelope is the per-bin maximum of |Phi| over logarithmically
-    spaced bins of |x| in the wrap-safe band [X/128, X/16] of the
-    half-domain X, both signs of x pooled.  The state must have decayed
-    into its asymptotic regime inside that band, which holds for any
-    momentum-windowed state on a grid of the default size or larger.
-    The fit is rejected as non-polynomial when the local slope steepens
-    strongly outward or the envelope underflows.
+    The envelope is the per-bin maximum of |Phi| over
+    ``TAIL_FIT_BINS`` logarithmically spaced bins of |x| in the wrap-safe
+    band [X/128, X/16] of the half-domain X, both signs of x pooled.  The
+    state must have decayed into its asymptotic regime inside that band,
+    which holds for any momentum-windowed state on a grid of the default
+    size or larger.  The fit is rejected as non-polynomial when the
+    local slope steepens strongly outward or the envelope underflows.
     """
     psi = phi.position_wavefunction()
     x = phi.grid.positions
     absx = np.abs(x)
     x_max = absx.max()
     lo, hi = TAIL_FIT_INNER * x_max, TAIL_FIT_OUTER * x_max
-    edges = np.geomspace(lo, hi, n_bins + 1)
+    edges = np.geomspace(lo, hi, TAIL_FIT_BINS + 1)
     mags = np.abs(psi)
 
     centers = []
     env = []
-    for i in range(n_bins):
+    for i in range(TAIL_FIT_BINS):
         mask = (absx >= edges[i]) & (absx < edges[i + 1])
         if not mask.any():
             continue
@@ -320,8 +321,7 @@ def tail_fit(phi: MomentumState, n_bins: int = 12) -> TailFit:
             f"tail fit needs more resolution: only {env.size} usable bins")
     if env.min() < max(ENVELOPE_FLOOR, RELATIVE_FLOOR * float(mags.max())):
         return TailFit(exponent=math.inf, is_polynomial=False,
-                       slope_inner=-math.inf, slope_outer=-math.inf,
-                       n_bins=env.size)
+                       slope_inner=-math.inf, slope_outer=-math.inf)
 
     logs_x = np.log(centers)
     logs_e = np.log(env)
@@ -331,8 +331,7 @@ def tail_fit(phi: MomentumState, n_bins: int = 12) -> TailFit:
     slope = np.polyfit(logs_x, logs_e, 1)[0]
     is_poly = (s_in - s_out) < STEEPENING_LIMIT
     return TailFit(exponent=float(-slope), is_polynomial=bool(is_poly),
-                   slope_inner=float(s_in), slope_outer=float(s_out),
-                   n_bins=int(env.size))
+                   slope_inner=float(s_in), slope_outer=float(s_out))
 
 
 def tail_exponent(phi: MomentumState) -> float:

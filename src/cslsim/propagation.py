@@ -50,15 +50,17 @@ loop over the trajectories instead of B loops of length d;
 ``GridBackend`` holds it as C-order (B, N), so every transform runs
 along a contiguous row.  Per-step arrays (field values, increments,
 log-norm and moment series) are held step-major, (S, B) in memory, so a
-step reads and writes one contiguous row, and stored states are held
-step-major too.  Dense products are row-major BLAS calls on the
-trajectory-first view, written back into the backend's layout: the
-column-major product G c on the (d, B) memory would round the last
-columns of a batch differently with the batch size.
+step reads and writes one contiguous row, and the checkpoint states of
+the reverse sweep are held step-major too.  Dense products are row-major
+BLAS calls on the trajectory-first view, written back into the
+backend's layout: the column-major product G c on the (d, B) memory
+would round the last columns of a batch differently with the batch
+size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,9 +175,6 @@ class SpectralBackend:
         adds it in index order."""
         return _abs2(c).sum(axis=1)
 
-    def transfer(self, c: np.ndarray) -> np.ndarray:
-        return self._product(c, self._g.T)
-
     def transfer_adjoint(self, c: np.ndarray) -> np.ndarray:
         return self._product(c, self._g_adj)
 
@@ -209,7 +208,6 @@ class GridBackend:
 
     def __init__(self, info: GridInfo, dt: float, hbar: float):
         self.dim = info.n_points
-        self.info = info
         self.coupling_values = info.positions
         e = info.kinetic_energies(hbar)
         self._energies = e
@@ -254,9 +252,6 @@ class GridBackend:
         product per row, with no conjugate copy.  A row's sum depends on
         that row alone, not on the batch it sits in."""
         return np.vecdot(c, c).real
-
-    def transfer(self, c: np.ndarray) -> np.ndarray:
-        return self._kinetic(c, self._phase_full)
 
     def transfer_adjoint(self, c: np.ndarray) -> np.ndarray:
         return self._kinetic(c, self._phase_full.conj())
@@ -319,31 +314,28 @@ class BatchResult:
     """Raw arrays produced by one batched propagation.
 
     States are kept normalized; ``log_red`` accumulates the log squared
-    norm of the reduced propagator (the importance weight in raw mode)
-    and ``sum_w2dt`` the integral of w^2 dt, so the full path density is
-    exp(log_red - sum_w2dt / (2 lam)).  ``interaction`` is the terminal
-    interaction functional w_T <A> - 2 lam <A^2> in the final state,
-    unweighted.
+    norm of the reduced propagator (the importance weight in raw mode).
+    ``interaction`` is the terminal interaction functional
+    w_T <A> - 2 lam <A^2> in the final state, unweighted, and
+    ``field_energy`` the per-trajectory field-energy estimator of the
+    reverse sweep (:func:`field_energy_sweep`), when asked for.
 
     Shapes are trajectory-first; the memory orders are the kernel's.
-    ``final_internal`` and ``states`` are in the backend's order
-    (``backend.empty``): trajectory axis contiguous on the dense backend,
-    grid axis contiguous on the grid.  ``w`` and the series are transposed
-    views of step-major (S, B) and (S+1, B) arrays, and ``states`` holds
-    one (d, B) or (B, N) block per stored step.
+    ``final_internal`` is in the backend's order (``backend.empty``):
+    trajectory axis contiguous on the dense backend, grid axis contiguous
+    on the grid.  ``w`` and the series are transposed views of step-major
+    (S, B) and (S+1, B) arrays.
     """
 
     final_internal: np.ndarray          # (B, d) normalized
     log_red: np.ndarray                 # (B,)
-    sum_w2dt: np.ndarray                # (B,)
     w: np.ndarray                       # (B, S) realized field values
     failed: np.ndarray                  # (B,) bool
     interaction: np.ndarray             # (B,)
     log_red_series: Optional[np.ndarray] = None   # (B, S+1)
-    states: Optional[np.ndarray] = None           # (B, n_stored, d) normalized
-    stored_steps: Optional[np.ndarray] = None     # (n_stored,) step indices
     series_expA: Optional[np.ndarray] = None      # (B, S+1)
     series_expH: Optional[np.ndarray] = None      # (B, S+1)
+    field_energy: Optional[np.ndarray] = None     # (B,)
 
 
 def _normalize(c: np.ndarray, n2: np.ndarray) -> None:
@@ -364,10 +356,16 @@ def _step_exponent(w_k: np.ndarray, a: np.ndarray, damp: np.ndarray, dt: float,
     return out
 
 
+def _checkpoint_stride(steps: int) -> int:
+    """Steps between the states a field-energy run keeps for the reverse
+    sweep: about sqrt(S), so the sweep holds O(sqrt(S)) states per
+    trajectory and recomputes each gap once."""
+    return max(1, int(math.sqrt(steps)))
+
+
 def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarray,
-                 *, mode: str, increments: Optional[np.ndarray] = None,
-                 given_w: Optional[np.ndarray] = None,
-                 record_series: bool = False, store_every: int = 0) -> BatchResult:
+                 draws: np.ndarray, *, mode: str, record_series: bool = False,
+                 with_field_energy: bool = False) -> BatchResult:
     """Propagate a batch of trajectories sharing one scenario.
 
     Parameters
@@ -375,19 +373,19 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     backend : SpectralBackend or GridBackend
     grid, params : discretization and collapse parameters
     psi0 : (d,) normalized initial amplitudes shared by the batch
-    mode : "cooked" (state-dependent drift added to ``increments``) or
-        "raw"/"given" (``given_w`` used verbatim; for raw sampling pass
-        the raw draws here)
-    increments : (B, S) standardized zero-mean draws, cooked mode only
-    given_w : (B, S) field values, raw/given mode only
+    draws : (B, S) standardized zero-mean increments in cooked mode, the
+        field values themselves in raw mode
+    mode : "cooked" (state-dependent drift 2 lam <A> added to ``draws``)
+        or "raw" (``draws`` used verbatim)
     record_series : record per-step coupling mean and <H>
-    store_every : if > 0, store every ``store_every``-th normalized state
-        (plus the initial and final one) for later reverse sweeps
+    with_field_energy : also run the reverse sweep into ``field_energy``,
+        from every ``_checkpoint_stride``-th state (and the first and last);
+        with one step the estimator is zero and no state is kept
 
-    ``increments`` and ``given_w`` may have any memory order; step k reads
-    their column k, which is contiguous when they are transposed views of
-    step-major (S, B) arrays, as :func:`cslsim.noise.block_increments`
-    returns.  The results do not depend on the order.
+    ``draws`` may have any memory order; step k reads its column k, which
+    is contiguous when it is the transposed view of a step-major (S, B)
+    array, as :func:`cslsim.noise.block_increments` returns.  The results
+    do not depend on the order.
 
     Notes
     -----
@@ -409,20 +407,11 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     s = grid.steps
     dt = grid.dt
     lam = params.lam
-    if mode == "cooked":
-        if increments is None:
-            raise ValueError("cooked mode needs standardized increments")
-        b = increments.shape[0]
-        if increments.shape != (b, s):
-            raise ValueError(f"increments must have shape (B, {s})")
-    elif mode in ("raw", "given"):
-        if given_w is None:
-            raise ValueError(f"{mode} mode needs explicit field values")
-        b = given_w.shape[0]
-        if given_w.shape != (b, s):
-            raise ValueError(f"given_w must have shape (B, {s})")
-    else:
+    if mode not in ("cooked", "raw"):
         raise ValueError(f"unknown mode {mode!r}")
+    b = draws.shape[0]
+    if draws.shape != (b, s):
+        raise ValueError(f"draws must have shape (B, {s})")
 
     d = backend.dim
     a = backend.coupling_values
@@ -436,28 +425,22 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     expo = backend.empty(b, dtype=float)
 
     log_red = np.zeros(b)
-    sum_w2dt = np.zeros(b)
     failed = np.zeros(b, dtype=bool)
     # Step-major: row k - 1 holds the field values of step k.
     if cooked:
-        inc = increments.T
+        inc = draws.T
         w_steps = np.empty((s, b))
     else:
-        w_steps = np.array(given_w.T, dtype=float, order="C")
+        w_steps = np.array(draws.T, dtype=float, order="C")
 
-    want_states = store_every > 0
-    if want_states:
-        stored_steps = np.unique(np.concatenate([
-            np.arange(0, s + 1, store_every), [0, s]]))
-        states = backend.empty(b, (stored_steps.size,))
-        slot = {int(k): i for i, k in enumerate(stored_steps)}
-        states[:, slot[0]] = c
-        log_series = np.zeros((s + 1, b))
-    else:
-        stored_steps = None
-        states = None
-        slot = {}
-        log_series = np.zeros((s + 1, b)) if record_series else None
+    # The reverse sweep's checkpoints: views into one block, step-major.
+    checkpoints = {}
+    if with_field_energy and s >= 2:
+        kept = sorted({*range(0, s + 1, _checkpoint_stride(s)), s})
+        block = backend.empty(b, (len(kept),))
+        checkpoints = {k: block[:, i] for i, k in enumerate(kept)}
+        checkpoints[0][...] = c
+    log_series = np.zeros((s + 1, b)) if checkpoints or record_series else None
 
     if record_series:
         exp_a = np.empty((s + 1, b))
@@ -489,12 +472,11 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
             c[dead, 0] = 1.0
         log_red += np.log(n2)
         _normalize(c, n2)
-        sum_w2dt += wk * wk * dt
 
         if log_series is not None:
             log_series[k] = log_red
-        if want_states and k in slot:
-            states[:, slot[k]] = c
+        if k in checkpoints:
+            checkpoints[k][...] = c
         last = k == s
         if record_series or not last:
             c, mean_a, mean_h = backend.advance(
@@ -511,54 +493,55 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     pops = _abs2(c, out=np.empty((b, d)))
     interaction = w_steps[-1] * np.vecdot(pops, a) - 2.0 * lam * np.vecdot(pops, a * a)
 
+    field_energy = None
+    if checkpoints:
+        field_energy = field_energy_sweep(backend, grid, params, w_steps, log_series,
+                                          log_red, checkpoints)
+    elif with_field_energy:
+        field_energy = np.zeros(b)
+
     def rows(steps):
         return None if steps is None else steps.T
 
     return BatchResult(
         final_internal=c,
         log_red=log_red,
-        sum_w2dt=sum_w2dt,
         w=w_steps.T,
         failed=failed,
         interaction=interaction,
         log_red_series=rows(log_series),
-        states=states,
-        stored_steps=stored_steps,
         series_expA=rows(exp_a),
         series_expH=rows(exp_h),
+        field_energy=field_energy,
     )
 
 
-def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams,
-                       result: BatchResult) -> np.ndarray:
+def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams, w: np.ndarray,
+                       log_series: np.ndarray, log_red: np.ndarray,
+                       checkpoints: dict) -> np.ndarray:
     """Per-trajectory field-energy estimator via a reverse sweep.
 
     Pairs each interior increment (w_{k+1} - w_k) with
-    Im <xi(t_k)| A(t_k) |phi(t_k)> where phi are the stored forward
-    reduced states and xi is the adjoint propagation of the final state,
-    rebuilt backwards with the same (Hermitian) step factors.  States are
+    Im <xi(t_k)| A(t_k) |phi(t_k)> where phi are the forward reduced
+    states and xi is the adjoint propagation of the final state, rebuilt
+    backwards with the same (Hermitian) step factors.  States are
     evaluated exactly at the jump times of the step-function field, which
     is the midpoint (Stratonovich) convention for this discretization.
 
-    Requires ``result`` to carry stored states; gaps between checkpoints
-    are recomputed forward from the nearest stored state.  Works in the
-    memory orders of :class:`BatchResult`: one contiguous step row of the
-    field and log-norm series per step, states in the backend's order.
+    Works on the arrays of :func:`evolve_batch`, which calls it: the
+    step-major (S, B) field values ``w`` and (S+1, B) log-norm series
+    ``log_series``, one contiguous step row per step; the final log norms
+    ``log_red``; and ``checkpoints``, which maps step indices, 0 and S
+    among them, to the normalized states kept after those steps, in the
+    backend's order.  Gaps between checkpoints are recomputed forward
+    from the nearest stored state.  Needs S >= 2.
     """
-    if result.states is None:
-        raise ValueError("field_energy_sweep needs stored states")
     s = grid.steps
     dt = grid.dt
     lam = params.lam
     a = backend.coupling_values
     damp = lam * a * a
-    b = result.final_internal.shape[0]
-    if s < 2:
-        return np.zeros(b)
-
-    stored = {int(k): result.states[:, i] for i, k in enumerate(result.stored_steps)}
-    log_series = result.log_red_series.T
-    w = result.w.T
+    b = log_red.shape[0]
     expo = backend.empty(b, dtype=float)
 
     def collapse(c: np.ndarray, k: int) -> np.ndarray:
@@ -569,39 +552,25 @@ def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams,
         _normalize(c, n2)
         return n2
 
-    # Forward states between checkpoints are recomputed on demand, one
-    # segment at a time, walking backwards over segments.
-    def segment_states(k_lo: int, k_hi: int) -> dict:
-        """Normalized states for steps k_lo..k_hi, k_lo stored."""
-        seg = {k_lo: stored[k_lo]}
-        c = stored[k_lo]
-        for k in range(k_lo + 1, k_hi + 1):
-            if k in stored:
-                c = stored[k]
-            else:
-                c = backend.transfer(c) if k > 1 else c.copy(order="K")
-                collapse(c, k)
-            seg[k] = c
-        return seg
-
-    checkpoints = sorted(stored)
-    y = stored[s].copy(order="K")
-    log_y = result.log_red.copy()
+    y = checkpoints[s].copy(order="K")
+    log_y = log_red.copy()
     total = np.zeros(b)
-
-    seg_idx = len(checkpoints) - 2
-    seg = segment_states(checkpoints[seg_idx], s) if checkpoints[-1] == s else None
-
-    for j in range(s - 1, 0, -1):
-        # y currently holds xi(t_{j+1}) in the frame of step j+1
-        log_y += np.log(collapse(y, j + 1))
-        y = backend.transfer_adjoint(y)
-
-        while j < checkpoints[seg_idx]:
-            seg_idx -= 1
-            seg = segment_states(checkpoints[seg_idx], checkpoints[seg_idx + 1])
-        phi = seg[j]
-        pair = backend.pair_coupling_post(y, phi)
-        scale = np.exp(0.5 * (log_y + log_series[j]))
-        total += (w[j] - w[j - 1]) * (scale * pair.imag)
+    kept = sorted(checkpoints)
+    # Walk backwards over the segments between checkpoints, recomputing
+    # the forward states inside a segment from its first checkpoint.
+    for lo, hi in reversed(list(zip(kept, kept[1:]))):
+        phi = {lo: checkpoints[lo], hi: checkpoints[hi]}
+        for k in range(lo + 1, hi):
+            c = phi[k - 1].copy(order="K")
+            if k > 1:
+                c = backend.advance(c, coupling=False)[0]
+            collapse(c, k)
+            phi[k] = c
+        for j in range(min(hi, s - 1), lo, -1):
+            # y holds xi(t_{j+1}) in the frame of step j+1
+            log_y += np.log(collapse(y, j + 1))
+            y = backend.transfer_adjoint(y)
+            pair = backend.pair_coupling_post(y, phi[j])
+            scale = np.exp(0.5 * (log_y + log_series[j]))
+            total += (w[j] - w[j - 1]) * (scale * pair.imag)
     return total

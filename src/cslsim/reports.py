@@ -17,6 +17,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+# An ensemble report lists its outcomes one by one up to this many, and
+# beyond that only their count.
+MAX_LISTED_OUTCOMES = 64
+
 
 def format_float(x: float) -> str:
     """Render a float with full round-trip precision."""
@@ -97,8 +101,7 @@ def write_ensemble_series_csv(path: Path, stats) -> Path:
                       stats.mean_hamiltonian])
 
 
-def ensemble_report(stats, scenario_echo: Mapping,
-                    max_outcomes: int = 64) -> dict:
+def ensemble_report(stats, scenario_echo: Mapping) -> dict:
     """JSON-ready summary of an ensemble run."""
     doc = {
         "scenario": jsonable(dict(scenario_echo)),
@@ -116,7 +119,7 @@ def ensemble_report(stats, scenario_echo: Mapping,
     if stats.field_energy_mean is not None:
         doc["field_energy_mean"] = stats.field_energy_mean
         doc["field_energy_se"] = stats.field_energy_se
-    if stats.outcome_values.size <= max_outcomes:
+    if stats.outcome_values.size <= MAX_LISTED_OUTCOMES:
         doc["outcomes"] = [
             {"value": v, "frequency": f, "stderr": e}
             for v, f, e in zip(stats.outcome_values,

@@ -19,6 +19,9 @@ from .trajectory import Scenario
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+# Spectral range of the random Hermitian operators (see random_dense).
+RANDOM_SPECTRAL_RANGE = 2.0
+
 
 def two_level_collapse(*, weight_upper: float = 0.7, gap: float = 2.0,
                        lam: float = 1.0, t_end: float = 5.0, steps: int = 1000,
@@ -81,16 +84,15 @@ def free_particle_grid(*, n_points: int = 1024, dx: float = 0.25,
                     grid=TimeGrid(t_end, steps), grid_info=info)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, *,
-                     spectral_range: float = 2.0) -> HermitianOperator:
-    """Gaussian-ensemble Hermitian matrix rescaled to a fixed spectral range."""
+def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianOperator:
+    """Gaussian-ensemble Hermitian matrix rescaled to ``RANDOM_SPECTRAL_RANGE``."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = 0.5 * (g + g.conj().T)
     op = HermitianOperator(m)
     current = op.spectral_range()
     if current == 0.0:
         raise ValueError("degenerate random draw; use another seed")
-    return HermitianOperator(m * (spectral_range / current))
+    return HermitianOperator(m * (RANDOM_SPECTRAL_RANGE / current))
 
 
 def random_dense(seed: int, *, dim: int = 8, lam: float = 0.3,

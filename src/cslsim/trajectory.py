@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .hilbert import HermitianOperator, StateVector
 from .noise import CollapseParams, NoisePath, TimeGrid, standard_increments
-from .propagation import GridInfo, evolve_batch, field_energy_sweep, make_backend
+from .propagation import GridInfo, evolve_batch, make_backend
 from .tolerances import CONSTRUCTION
 
 
@@ -79,7 +79,6 @@ class TrajectoryResult:
     w: np.ndarray
     weight: float
     log_reduced_norm2: float
-    sum_w2dt: float
     final_state: StateVector
     coupling_populations: np.ndarray
     interaction_sample: float
@@ -87,14 +86,11 @@ class TrajectoryResult:
     series_expH: Optional[np.ndarray] = None
     series_log_norm2: Optional[np.ndarray] = None
     field_energy_sample: Optional[float] = None
-    stored_states: Optional[np.ndarray] = None
-    stored_steps: Optional[np.ndarray] = None
 
 
 def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
            seed: Union[int, np.random.SeedSequence, None] = None,
-           record_series: bool = True, store_every: int = 0,
-           with_field_energy: bool = False) -> TrajectoryResult:
+           record_series: bool = True, with_field_energy: bool = False) -> TrajectoryResult:
     """Propagate one trajectory.
 
     Parameters
@@ -108,8 +104,6 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
         Entropy for cooked sampling; ignored when ``path`` is given.
     record_series : bool
         Record per-step <A>, <H> and log norm^2.
-    store_every : int
-        Keep every k-th normalized state for reverse sweeps (0 = none).
     with_field_energy : bool
         Also run the reverse sweep and fill ``field_energy_sample``.
         Only meaningful for raw paths, whose ensemble mean it estimates.
@@ -122,22 +116,16 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
     grid = scenario.grid
     params = scenario.params
     backend = make_backend(scenario, grid.dt)
-    if with_field_energy and store_every == 0:
-        store_every = max(1, int(math.sqrt(grid.steps)))
-
     if path is not None:
-        mode = "raw" if path.mode == "raw" else "given"
-        batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
-                             mode=mode, given_w=path.values[None, :],
-                             record_series=record_series, store_every=store_every)
+        mode, draws = path.mode, path.values
+    elif seed is None:
+        raise ValueError("cooked evolution needs a seed")
     else:
-        if seed is None:
-            raise ValueError("cooked evolution needs a seed")
-        mode = "cooked"
-        xi = standard_increments(grid, params, seed)
-        batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
-                             mode="cooked", increments=xi[None, :],
-                             record_series=record_series, store_every=store_every)
+        mode, draws = "cooked", standard_increments(grid, params, seed)
+    # Raw and given paths both run verbatim; only raw ones carry a weight.
+    batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws[None, :],
+                         mode="cooked" if mode == "cooked" else "raw",
+                         record_series=record_series, with_field_energy=with_field_energy)
 
     if batch.failed[0]:
         raise NumericalFailure(
@@ -147,30 +135,25 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
     log_red = float(batch.log_red[0])
     weight = math.exp(log_red) if mode == "raw" else 1.0
     populations, psi_lab = backend.read_out(batch.final_internal)
-    scale = math.exp(0.5 * log_red) if log_red > -1400.0 else 0.0
-    final_state = StateVector(psi_lab[0] * scale)
+    final_state = StateVector(psi_lab[0] * math.exp(0.5 * log_red))
     v_sample = float(batch.interaction[0]) * weight
 
-    field_sample = None
-    if with_field_energy:
-        field_sample = float(field_energy_sweep(backend, grid, params, batch)[0])
+    def first(rows):
+        return None if rows is None else rows[0].copy()
 
-    result = TrajectoryResult(
+    return TrajectoryResult(
         mode=mode,
         times=grid.times,
         w=batch.w[0].copy(),
         weight=weight,
         log_reduced_norm2=log_red,
-        sum_w2dt=float(batch.sum_w2dt[0]),
         final_state=final_state,
         coupling_populations=populations[0],
         interaction_sample=v_sample,
-        series_expA=None if batch.series_expA is None else batch.series_expA[0].copy(),
-        series_expH=None if batch.series_expH is None else batch.series_expH[0].copy(),
-        series_log_norm2=None if batch.log_red_series is None else batch.log_red_series[0].copy(),
-        field_energy_sample=field_sample,
-        stored_states=None if batch.states is None else batch.states[0].copy(),
-        stored_steps=batch.stored_steps,
+        series_expA=first(batch.series_expA),
+        series_expH=first(batch.series_expH),
+        series_log_norm2=first(batch.log_red_series),
+        field_energy_sample=(None if batch.field_energy is None
+                             else float(batch.field_energy[0])),
     )
-    return result
 

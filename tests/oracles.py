@@ -248,11 +248,12 @@ class RowMajorSpectral:
 
 
 def row_major_evolve(backend, grid, params, psi0, *, mode, draws,
-                     record_series=False, store_every=0):
+                     record_series=False, with_field_energy=False):
     """The row-major step loop: returns a dict of the BatchResult fields.
     ``draws`` are the increments (cooked) or the field values (raw).  The
     terminal interaction sums each row's populations by one dot product,
-    as the kernel does."""
+    as the kernel does.  With ``with_field_energy`` it keeps the state of
+    every step and runs :func:`row_major_field_energy` over them."""
     s, dt, lam = grid.steps, grid.dt, params.lam
     b = draws.shape[0]
     a = backend.coupling_values
@@ -262,17 +263,12 @@ def row_major_evolve(backend, grid, params, psi0, *, mode, draws,
     c = np.tile(c0, (b, 1))
     c /= np.sqrt(np.einsum("bi,bi->b", c.conj(), c).real)[:, None]
     log_red = np.zeros(b)
-    sum_w2dt = np.zeros(b)
     w_out = np.empty((b, s))
-    stored_steps = states = None
-    slot = {}
-    log_series = exp_a = exp_h = None
-    if store_every > 0:
-        stored_steps = np.unique(np.concatenate([np.arange(0, s + 1, store_every), [0, s]]))
-        states = np.empty((b, stored_steps.size, c.shape[1]), dtype=np.complex128)
-        slot = {int(k): i for i, k in enumerate(stored_steps)}
+    states = log_series = exp_a = exp_h = None
+    if with_field_energy:
+        states = np.empty((b, s + 1, c.shape[1]), dtype=np.complex128)
         states[:, 0, :] = c
-    if store_every > 0 or record_series:
+    if with_field_energy or record_series:
         log_series = np.zeros((b, s + 1))
     if record_series:
         exp_a = np.empty((b, s + 1))
@@ -286,11 +282,10 @@ def row_major_evolve(backend, grid, params, psi0, *, mode, draws,
         n2 = np.einsum("bi,bi->b", c.conj(), c).real
         log_red += np.log(n2)
         c /= np.sqrt(n2)[:, None]
-        sum_w2dt += wk * wk * dt
         if log_series is not None:
             log_series[:, k] = log_red
-        if k in slot:
-            states[:, slot[k], :] = c
+        if states is not None:
+            states[:, k, :] = c
         if record_series or cooked:
             mean_a = backend._expect(c, backend._a_plus)
         if record_series:
@@ -299,22 +294,23 @@ def row_major_evolve(backend, grid, params, psi0, *, mode, draws,
         if k < s:
             c = backend.transfer(c)
     pops = c.real**2 + c.imag**2
-    return dict(final_internal=c, log_red=log_red, sum_w2dt=sum_w2dt, w=w_out,
-                interaction=(w_out[:, -1] * np.vecdot(pops, a)
-                             - 2.0 * lam * np.vecdot(pops, a * a)),
-                log_red_series=log_series, states=states, stored_steps=stored_steps,
-                series_expA=exp_a, series_expH=exp_h)
+    out = dict(final_internal=c, log_red=log_red, w=w_out,
+               interaction=(w_out[:, -1] * np.vecdot(pops, a)
+                            - 2.0 * lam * np.vecdot(pops, a * a)),
+               log_red_series=log_series, series_expA=exp_a, series_expH=exp_h)
+    if with_field_energy:
+        out["field_energy"] = row_major_field_energy(backend, grid, params, out, states)
+    return out
 
 
-def row_major_field_energy(backend, grid, params, out):
+def row_major_field_energy(backend, grid, params, out, states):
     """The row-major reverse sweep over the fields of :func:`row_major_evolve`
-    (every step stored)."""
+    and the (B, S+1, d) normalized ``states`` of every step."""
     s, dt, lam = grid.steps, grid.dt, params.lam
     a = backend.coupling_values
     damp = lam * a * a
     w, log_series = out["w"], out["log_red_series"]
-    assert out["stored_steps"].tolist() == list(range(s + 1))
-    y = out["states"][:, s, :].copy()
+    y = states[:, s, :].copy()
     log_y = out["log_red"].copy()
     total = np.zeros(y.shape[0])
     for j in range(s - 1, 0, -1):
@@ -322,7 +318,7 @@ def row_major_field_energy(backend, grid, params, out):
         n2 = np.einsum("bi,bi->b", y.conj(), y).real
         log_y += np.log(n2)
         y = backend.transfer_adjoint(y / np.sqrt(n2)[:, None])
-        pair = backend.pair_coupling_post(y, out["states"][:, j, :])
+        pair = backend.pair_coupling_post(y, states[:, j, :])
         scale = np.exp(0.5 * (log_y + log_series[:, j]))
         total += (w[:, j] - w[:, j - 1]) * (scale * pair.imag)
     return total

@@ -5,6 +5,8 @@ and against closed forms: dephasing rates, fixed points, and the exact
 unit mean of raw importance weights.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -108,6 +110,18 @@ class TestDensityMatrix:
         assert not rho.entries.flags.writeable
         np.testing.assert_array_equal(DensityMatrix(rho.entries).entries, rho.entries)
         assert len(calls) == 1
+
+    def test_from_state_builds_the_projector_once(self):
+        # The 4 MiB rho of a 512-point grid: the outer product is the only
+        # N x N array from_state allocates.
+        psi = free_particle_grid(n_points=512, dx=0.25, sigma0=2.0).psi0
+        tracemalloc.start()
+        try:
+            rho = DensityMatrix.from_state(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rho.entries.nbytes
 
     def test_expectation(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]))

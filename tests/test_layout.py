@@ -3,7 +3,8 @@
 * Imports sit at module level, where a reader looks for a module's
   dependencies; none hides in a function body.
 * The exponent limit handed to np.exp is one decision with one home
-  (``hilbert.EXP_LIMIT``), so its literal appears once.
+  (``hilbert.EXP_LIMIT``), so its literal appears once, and its double
+  (a limit on a log squared norm) not at all.
 * numpy is the only runtime dependency: no module imports scipy, which
   the tests use as an oracle only.
 * The package keeps only what its callers use: every public top-level
@@ -36,15 +37,21 @@ def test_no_imports_inside_functions():
     assert not found, "function-level imports: " + ", ".join(found)
 
 
-def test_exponent_limit_literal_appears_once():
-    found = [
+def exponent_literals(value):
+    return [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(parse(path))
         if isinstance(node, ast.Constant) and type(node.value) is float
-        and node.value == 700.0
+        and node.value == value
     ]
+
+
+def test_exponent_limit_literal_appears_once():
+    found = exponent_literals(700.0)
     assert len(found) == 1, "700.0 appears at " + ", ".join(found)
+    doubled = exponent_literals(1400.0)
+    assert not doubled, "1400.0 (twice the limit) appears at " + ", ".join(doubled)
 
 
 def test_no_module_imports_scipy():

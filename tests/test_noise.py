@@ -101,6 +101,8 @@ class TestNoisePath:
             NoisePath(grid, [0.0, np.inf, 0.0, 0.0], "raw")
         with pytest.raises(ValueError):
             NoisePath(grid, np.zeros(4), "boiled")
+        with pytest.raises(ValueError):
+            NoisePath(grid, np.zeros(4), "cooked")  # cooked paths come from a seed
 
     def test_values_read_only(self):
         path = NoisePath(TimeGrid(1.0, 4), np.zeros(4), "given")

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import equal_phase_symmetry, gaussian_translate_overlap, to_momentum
 
+from cslsim import postulate
 from cslsim.errors import NumericalFailure
 from cslsim.postulate import (MomentumGrid, MomentumState, Superposition,
                               build_window_state, collapse_residual,
@@ -173,9 +174,10 @@ class TestTailAsymptotics:
         with pytest.raises(ValueError, match="super-polynomial"):
             tail_exponent(gaussian_state(GRID, 1.0))
 
-    def test_too_few_bins_is_a_hard_failure(self):
+    def test_too_few_bins_is_a_hard_failure(self, monkeypatch):
+        monkeypatch.setattr(postulate, "TAIL_FIT_BINS", 4)
         with pytest.raises(NumericalFailure, match="bins"):
-            tail_fit(build_window_state(GRID, -3.0, 3.0, 0), n_bins=4)
+            tail_fit(build_window_state(GRID, -3.0, 3.0, 0))
 
 
 class TestMomentScans:

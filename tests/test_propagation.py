@@ -11,27 +11,32 @@ backend, then the plain position or eigenvalue average.
 
 import numpy as np
 import pytest
-from oracles import RowMajorSpectral, row_major_evolve, row_major_field_energy
+from oracles import RowMajorSpectral, row_major_evolve
 from scipy.linalg import expm
 
+from cslsim import propagation
 from cslsim.ensemble import run_ensemble
 from cslsim.errors import NumericalFailure
 from cslsim.hilbert import HermitianOperator, StateVector
 from cslsim.noise import CollapseParams, NoisePath, TimeGrid, block_increments
-from cslsim.propagation import (GridBackend, SpectralBackend, evolve_batch,
-                                field_energy_sweep, make_backend)
+from cslsim.propagation import GridBackend, SpectralBackend, evolve_batch, make_backend
 from cslsim.scenarios import free_particle_grid, qubit_dephasing, random_dense
 from cslsim.trajectory import Scenario, evolve
 
 DRIFT_MATCH = 1e-12
 
-BATCH_FIELDS = ("final_internal", "log_red", "sum_w2dt", "w", "failed", "interaction",
-                "log_red_series", "states", "stored_steps", "series_expA", "series_expH")
+BATCH_FIELDS = ("final_internal", "log_red", "w", "failed", "interaction",
+                "log_red_series", "series_expA", "series_expH", "field_energy")
 
 
 def random_states(rng, b, d):
     c = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
     return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+def checkpoint_every(monkeypatch, stride):
+    """Make field-energy runs keep every ``stride``-th state."""
+    monkeypatch.setattr(propagation, "_checkpoint_stride", lambda steps: stride)
 
 
 def count_transforms(monkeypatch):
@@ -59,9 +64,8 @@ def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, record_series)
     for steps in (16, 32):
         calls[0] = 0
         evolve_batch(backend, TimeGrid(steps * dt, steps), scenario.params,
-                     scenario.psi0.amplitudes, mode="cooked",
-                     increments=rng.standard_normal((5, steps)),
-                     record_series=record_series)
+                     scenario.psi0.amplitudes, rng.standard_normal((5, steps)),
+                     mode="cooked", record_series=record_series)
         counts.append(calls[0])
     assert counts[1] - counts[0] == 3 * 16
     # Entering the frame costs two transforms; the last step transfers
@@ -98,11 +102,9 @@ def test_kernel_flags_rows_that_leave_the_floating_range():
     w[1, 4] = 1e6
     w[2, 4] = -1e6
     batch = evolve_batch(make_backend(scenario, scenario.grid.dt), scenario.grid,
-                         scenario.params, scenario.psi0.amplitudes,
-                         mode="given", given_w=w)
+                         scenario.params, scenario.psi0.amplitudes, w, mode="raw")
     assert batch.failed.tolist() == [False, True, True]
-    for out in (batch.final_internal, batch.log_red, batch.sum_w2dt, batch.w,
-                batch.interaction):
+    for out in (batch.final_internal, batch.log_red, batch.w, batch.interaction):
         assert np.isfinite(out).all()
     with pytest.raises(NumericalFailure, match="left the floating range"):
         evolve(scenario, NoisePath(scenario.grid, w[2], "given"))
@@ -117,7 +119,7 @@ def test_flagging_one_row_leaves_the_others_bit_identical():
 
     def run(rows):
         return evolve_batch(backend, scenario.grid, scenario.params,
-                            scenario.psi0.amplitudes, mode="given", given_w=rows)
+                            scenario.psi0.amplitudes, rows, mode="raw")
 
     batch = run(w)
     assert np.flatnonzero(batch.failed).tolist() == [17]
@@ -161,8 +163,8 @@ def test_grid_interaction_of_a_row_does_not_depend_on_the_batch():
     draws = block_increments(grid, params, 14, np.arange(256))
 
     def run(rows):
-        return evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
-                            mode="cooked", increments=rows)
+        return evolve_batch(backend, grid, params, scenario.psi0.amplitudes, rows,
+                            mode="cooked")
 
     batch = run(draws)
     for i in range(0, 256, 15):
@@ -171,10 +173,25 @@ def test_grid_interaction_of_a_row_does_not_depend_on_the_batch():
         assert np.array_equal(one.interaction, batch.interaction[i:i + 1]), i
 
 
-def grid_pre_step_mean(backend, c, dt, hbar):
-    e = backend.info.kinetic_energies(hbar)
+def grid_transfer(scenario, c, dt):
+    hbar = scenario.params.hbar
+    e = scenario.grid_info.kinetic_energies(hbar)
+    return np.fft.ifft(np.fft.fft(c, axis=-1) * np.exp(-1j * e * dt / hbar), axis=-1)
+
+
+def grid_pre_step_mean(scenario, c, dt):
+    hbar = scenario.params.hbar
+    e = scenario.grid_info.kinetic_energies(hbar)
     lab = np.fft.ifft(np.fft.fft(c, axis=-1) * np.exp(0.5j * e * dt / hbar), axis=-1)
-    return (np.abs(lab) ** 2) @ backend.coupling_values
+    return (np.abs(lab) ** 2) @ scenario.grid_info.positions
+
+
+def dense_transfer(scenario, c, dt):
+    """exp(-iH dt) in the coupling eigenbasis, the frame of the kernel's
+    states, applied to the rows of ``c``."""
+    va = scenario.collapse_op.spectrum().eigenvectors
+    g = va.conj().T @ expm(-1j * scenario.hamiltonian.matrix * dt / scenario.params.hbar) @ va
+    return c @ g.T
 
 
 def dense_pre_step_mean(scenario, c, dt):
@@ -198,10 +215,11 @@ def test_reused_drift_equals_the_pre_step_mean_after_transfer(kind):
         backend = SpectralBackend(scenario.hamiltonian, scenario.collapse_op,
                                   dt, scenario.params.hbar)
     c = random_states(rng, 7, backend.dim)
-    moved = backend.transfer(c)
     if kind == "grid":
-        expected = grid_pre_step_mean(backend, moved, dt, scenario.params.hbar)
+        moved = grid_transfer(scenario, c, dt)
+        expected = grid_pre_step_mean(scenario, moved, dt)
     else:
+        moved = dense_transfer(scenario, c, dt)
         expected = dense_pre_step_mean(scenario, moved, dt)
 
     state, mean_a, mean_h = backend.advance(c.copy(), energy=False)
@@ -211,7 +229,7 @@ def test_reused_drift_equals_the_pre_step_mean_after_transfer(kind):
 
 
 @pytest.mark.parametrize("kind", ["dense", "grid"])
-def test_field_values_give_the_same_bits_in_either_memory_order(kind):
+def test_field_values_give_the_same_bits_in_either_memory_order(monkeypatch, kind):
     if kind == "dense":
         scenario = random_dense(71, dim=8, lam=0.3, t_end=1.0, steps=24)
     else:
@@ -220,11 +238,20 @@ def test_field_values_give_the_same_bits_in_either_memory_order(kind):
     grid = scenario.grid
     backend = make_backend(scenario, grid.dt)
     step_major = 2.0 * np.random.default_rng(5).standard_normal((grid.steps, 37))
+    checkpoint_every(monkeypatch, 5)
+    kept = []
+    sweep = propagation.field_energy_sweep
 
-    def run(given_w):
+    def keeping(*args):
+        kept.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(propagation, "field_energy_sweep", keeping)
+
+    def run(draws):
         return evolve_batch(backend, grid, scenario.params, scenario.psi0.amplitudes,
-                            mode="raw", given_w=given_w, record_series=True,
-                            store_every=5)
+                            draws, mode="raw", record_series=True,
+                            with_field_energy=True)
 
     rows = run(np.ascontiguousarray(step_major.T))
     steps = run(step_major.T)
@@ -236,10 +263,11 @@ def test_field_values_give_the_same_bits_in_either_memory_order(kind):
         assert series.T.flags.c_contiguous
     contiguous = 0 if kind == "dense" else 1
     assert steps.final_internal.strides[contiguous] == steps.final_internal.itemsize
-    assert steps.states[:, 2].strides[contiguous] == steps.states.itemsize
+    assert sorted(kept[-1]) == sorted({*range(0, grid.steps + 1, 5), grid.steps})
+    assert kept[-1][10].strides[contiguous] == kept[-1][10].itemsize
 
 
-def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
+def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit(monkeypatch):
     scenario = random_dense(72, dim=8, lam=0.3, t_end=1.0, steps=40)
     grid, params = scenario.grid, scenario.params
     backend = make_backend(scenario, grid.dt)
@@ -247,11 +275,14 @@ def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
                               params.hbar)
     # 300 rows: not a multiple of any BLAS blocking.
     draws = block_increments(grid, params, 9, np.arange(300))
-    got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, mode="cooked",
-                       increments=draws, record_series=True, store_every=7)
+    # The sweep recomputes the states between every 7th one, which must
+    # repeat the forward steps exactly.
+    checkpoint_every(monkeypatch, 7)
+    got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
+                       mode="cooked", record_series=True, with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes,
                             mode="cooked", draws=np.ascontiguousarray(draws),
-                            record_series=True, store_every=7)
+                            record_series=True, with_field_energy=True)
     for name, value in want.items():
         assert np.array_equal(getattr(got, name), value), name
     for ours, theirs in zip(backend.read_out(got.final_internal),
@@ -259,8 +290,9 @@ def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
         assert np.array_equal(ours, theirs)
 
 
-@pytest.mark.parametrize("store_every", [1, 7])
-def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit(store_every):
+@pytest.mark.parametrize("stride", [1, 7])
+def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit(monkeypatch,
+                                                                        stride):
     # Every 7th of 50 steps is about the sqrt(S) default; the sweep then
     # recomputes the states between checkpoints, repeating the forward
     # arithmetic exactly.
@@ -270,12 +302,25 @@ def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit(store_ev
     oracle = RowMajorSpectral(scenario.hamiltonian, scenario.collapse_op, grid.dt,
                               params.hbar)
     draws = block_increments(grid, params, 10, np.arange(300))
-    got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, mode="raw",
-                       given_w=draws, store_every=store_every)
+    checkpoint_every(monkeypatch, stride)
+    got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
+                       mode="raw", with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes, mode="raw",
-                            draws=np.ascontiguousarray(draws), store_every=1)
-    for name in ("final_internal", "log_red", "sum_w2dt", "w", "interaction",
-                 "log_red_series"):
+                            draws=np.ascontiguousarray(draws), with_field_energy=True)
+    for name in ("final_internal", "log_red", "w", "interaction", "log_red_series",
+                 "field_energy"):
         assert np.array_equal(getattr(got, name), want[name]), name
-    assert np.array_equal(field_energy_sweep(backend, grid, params, got),
-                          row_major_field_energy(oracle, grid, params, want))
+
+
+def test_one_step_field_energy_is_zero_and_keeps_no_states(monkeypatch):
+    # With one step there is no interior field jump: the kernel neither
+    # plans checkpoints nor runs the sweep.
+    def refuse(*args):
+        raise AssertionError("a one-step run keeps no states")
+
+    monkeypatch.setattr(propagation, "_checkpoint_stride", refuse)
+    monkeypatch.setattr(propagation, "field_energy_sweep", refuse)
+    scenario = qubit_dephasing(omega=1.0, lam=0.2, t_end=0.5, steps=1)
+    stats = run_ensemble(scenario, 300, "raw", 3, with_field_energy=True)
+    assert stats.n_success == 300
+    assert stats.field_energy_mean == 0.0
