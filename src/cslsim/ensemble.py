@@ -24,10 +24,12 @@ that final rho (``GRID_HALVING_TOL``, at most ``GRID_MAX_REFINE`` step
 doublings).  The split-step
 works on the ring (minimum-image collapse distances, the model the
 channels use), where both of its steps keep kappa = p - p' fixed: it
-holds rho as its N independent kappa-sectors Q[kappa, d], in which the
-collapse scales column d and the kinetic step is one transform pair
-along the contiguous rows, so a step makes two row passes and no
-transpose.  Probability at the periodic seam fails a run and is named.
+holds rho as its kappa-sectors Q[kappa, d], in which the collapse scales
+column d and the kinetic step is one transform pair along the contiguous
+rows, so a step makes two row passes and no transpose.  rho is
+Hermitian, so sector -kappa is the conjugate image of sector kappa, and
+only the N/2 + 1 independent sectors kappa = 0 .. N/2 are stepped.
+Probability at the periodic seam fails a run and is named.
 
 Determinism: an ensemble is split into fixed-size chunks, each chunk is
 propagated as one batch, and partial sums are combined in chunk order
@@ -561,23 +563,28 @@ def _sector_step(q: np.ndarray, collapse: np.ndarray, kinetic: np.ndarray) -> np
 
 
 def _rho_from_sectors(q: np.ndarray) -> np.ndarray:
-    """The Hermitian part of the rho whose kappa-sectors are ``q``,
-    written over ``q``.
+    """The rho whose kappa-sectors kappa = 0 .. N/2 are the rows of ``q``.
 
-    One row pass over Q^T gives the diagonals V[d, j] = rho(j + d, j);
-    row j of [V^T, V^T] read from column N - j is column j of rho, which
-    a reshape of the flat array with rows of length 2N - 1 lines up.
+    rho is Hermitian, so Q[-kappa, -d] = exp(2 pi i kappa d / N)
+    conj(Q[kappa, d]): what sector -kappa adds to rho is the conjugate
+    transpose of what sector kappa adds.  Hence rho = G + G^dag, where G
+    has the sectors of ``q``, halved at kappa = 0 and N/2 (each its own
+    image), and none past N/2.  One row pass over those sectors, zero
+    padded and transposed, gives the diagonals V[d, j] = G(j + d, j); row
+    j of [V^T, V^T] read from column N - j is column j of G, which a
+    reshape of the flat array with rows of length 2N - 1 lines up.
     """
-    n = q.shape[0]
-    diagonals = np.ascontiguousarray(q.T)
+    h, n = q.shape
+    diagonals = np.zeros((n, n), dtype=np.complex128)
+    diagonals[:, :h] = q.T
+    diagonals[:, [0, h - 1]] *= 0.5
     np.fft.ifft(diagonals, axis=-1, out=diagonals)
     doubled = np.empty((n, 2 * n), dtype=np.complex128)
     doubled[:, :n] = diagonals.T
     doubled[:, n:] = diagonals.T
-    rho_t = doubled.reshape(-1)[n:].reshape(n, 2 * n - 1)[:, :n]  # rho_t[j, i] = rho(i, j)
-    rho = np.conjugate(rho_t, out=q)
-    rho += rho_t.T
-    rho *= 0.5
+    g_t = doubled.reshape(-1)[n:].reshape(n, 2 * n - 1)[:, :n]  # g_t[j, i] = G(i, j)
+    rho = np.conjugate(g_t, out=diagonals)
+    rho += g_t.T
     return rho
 
 
@@ -590,16 +597,20 @@ def _grid_channels_once(scenario: Scenario, steps: int):
     factor exp(-(lam dt / 2)(d dx)^2), d the minimum-image offset, scales
     column d, and the kinetic step multiplies the momentum pair
     (p, p - kappa) by u_p conj(u_(p - kappa)), u = exp(-i e dt / hbar).
-    The first kinetic half step acts on psi0 before the sectors are
-    built, from its momentum amplitudes phi as phi_p conj(phi_(p - kappa)).
-    The seam mass is a fixed linear form of column d = 0, whose inverse
-    transform is the diagonal of rho.  Returns (seam_mass_max, rho): the
-    largest probability within ``seam_margin`` points of the periodic
-    seam after any step, and the final rho.
+    Each row evolves on its own and rho is Hermitian, so only the rows
+    kappa = 0 .. N/2 are stepped; the others are their conjugate images,
+    which :func:`_rho_from_sectors` adds once at the end.  The first
+    kinetic half step acts on psi0 before the sectors are built, from its
+    momentum amplitudes phi as phi_p conj(phi_(p - kappa)).  The seam
+    mass is a fixed linear form of column d = 0, whose inverse transform
+    is the diagonal of rho.  Returns (seam_mass_max, rho): the largest
+    probability within ``seam_margin`` points of the periodic seam after
+    any step, and the final rho.
     """
     info = scenario.grid_info
     params = scenario.params
     n = info.n_points
+    half = n // 2 + 1
     dt = scenario.grid.t_end / steps
     e = info.kinetic_energies(params.hbar)
     u_full = np.exp(-1j * e * dt / params.hbar)
@@ -608,20 +619,24 @@ def _grid_channels_once(scenario: Scenario, steps: int):
 
     edge = np.zeros(n)
     edge[:info.seam_margin] = edge[n - info.seam_margin:] = 1.0
-    # sum_j edge[j] ifft(Q[:, 0])[j] = sum_kappa ifft(edge)[kappa] Q[kappa, 0]
-    edge_form = np.fft.ifft(edge)
+    # sum_j edge[j] ifft(Q[:, 0])[j] = sum_kappa f[kappa] Q[kappa, 0] with
+    # f = ifft(edge); the mass is real and Q[N - kappa, 0] = conj(Q[kappa, 0]),
+    # so f[N - kappa] folds onto row kappa conjugated.
+    f = np.fft.ifft(edge)
+    edge_form = f[:half].copy()
+    edge_form[1:n - half + 1] += f[:half - 1:-1].conj()
     seam_max = 0.0
 
     phi = u_half * np.fft.fft(scenario.psi0.amplitudes)
-    q = phi * _skewed(phi.conj())
+    q = phi * _skewed(phi.conj())[:half]
     np.fft.ifft(q, axis=-1, out=q)
-    kinetic = u_full * _skewed(u_full.conj())
+    kinetic = u_full * _skewed(u_full.conj())[:half]
     for k in range(steps):
         if k == steps - 1:
-            np.multiply(u_half, _skewed(u_half.conj()), out=kinetic)
+            np.multiply(u_half, _skewed(u_half.conj())[:half], out=kinetic)
         _sector_step(q, collapse, kinetic)
         seam_max = max(seam_max, float((edge_form @ q[:, 0]).real))
-    del kinetic  # N x N; freed before the final rho is built
+    del kinetic  # freed before the final rho is built
     return seam_max, _rho_from_sectors(q)
 
 

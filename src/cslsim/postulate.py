@@ -231,23 +231,6 @@ def eq1_residual(phi1: MomentumState, phi2: MomentumState) -> float:
     return float(np.max(np.abs(phi2.phi_p.conj() * phi1.phi_p)))
 
 
-def generating_overlap_P(phi1: MomentumState, phi2: MomentumState, b: float) -> complex:
-    """<phi2| exp(i b P) |phi1> by momentum-grid quadrature."""
-    _same_grid(phi1, phi2)
-    p = phi1.grid.momenta
-    return complex(np.sum(np.exp(1j * b * p) * phi2.phi_p.conj() * phi1.phi_p)
-                   * phi1.grid.dp)
-
-
-def generating_overlap_E(phi1: MomentumState, phi2: MomentumState, a: float,
-                         mass: float = 1.0) -> complex:
-    """<phi2| exp(i a P^2 / 2 mass) |phi1> by momentum-grid quadrature."""
-    _same_grid(phi1, phi2)
-    p = phi1.grid.momenta
-    return complex(np.sum(np.exp(1j * a * p * p / (2.0 * mass))
-                          * phi2.phi_p.conj() * phi1.phi_p) * phi1.grid.dp)
-
-
 def collapse_residual(sup: Superposition, kind: str, value: float,
                       mass: float = 1.0) -> float:
     """Change of a generating-function expectation under branch replacement.
@@ -263,15 +246,21 @@ def collapse_residual(sup: Superposition, kind: str, value: float,
 
     ``kind`` selects the generator: "momentum" for exp(i b P) with
     ``value`` = b, "energy" for exp(i a P^2/2M) with ``value`` = a.
+    The generator g(p) is diagonal on the momentum grid, so with
+    x = phi2*(p) phi1(p) the two elements are sum g x dp and
+    sum g x* dp: one exponential and one product serve both.
     """
+    grid = sup.phi1.grid
+    p = grid.momenta
     if kind == "momentum":
-        m12 = generating_overlap_P(sup.phi2, sup.phi1, value)
-        m21 = generating_overlap_P(sup.phi1, sup.phi2, value)
+        g = np.exp(1j * value * p)
     elif kind == "energy":
-        m12 = generating_overlap_E(sup.phi2, sup.phi1, value, mass)
-        m21 = generating_overlap_E(sup.phi1, sup.phi2, value, mass)
+        g = np.exp(1j * value * p * p / (2.0 * mass))
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
+    x = sup.phi2.phi_p.conj() * sup.phi1.phi_p
+    m21 = complex(np.dot(g, x) * grid.dp)   # <phi2|G|phi1>
+    m12 = complex(np.vdot(x, g) * grid.dp)  # <phi1|G|phi2>
     cross = (sup.alpha1.conjugate() * sup.alpha2 * m12
              + sup.alpha2.conjugate() * sup.alpha1 * m21)
     return abs(cross)

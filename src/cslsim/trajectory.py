@@ -110,11 +110,16 @@ def evolve(scenario: Scenario, path: Optional[NoisePath] = None, *,
 
     Raises
     ------
+    ValueError
+        If ``path`` was drawn on another time grid than the scenario's.
     NumericalFailure
         If the path drives the state outside the floating range.
     """
     grid = scenario.grid
     params = scenario.params
+    if path is not None and path.grid != grid:
+        raise ValueError(f"path drawn on {path.grid} cannot run on the "
+                         f"scenario's {grid}")
     backend = make_backend(scenario, grid.dt)
     if path is not None:
         mode, draws = path.mode, path.values

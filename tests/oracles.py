@@ -8,7 +8,8 @@ kept here, and its kappa-sectors are built from their definition.  The
 dense propagation kernel is checked against its earlier row-major form,
 kept here, and the ledger's drift formula against the rotating-frame
 expectation it differentiates.  Eigenvalue grouping is checked against its earlier
-loop.
+loop, and the collapse residual against its two cross elements computed
+apart by the generating-function overlaps.
 
 The rest are oracles the package itself has no use for: the
 interaction-picture rotation, the inverse momentum transform, the
@@ -24,7 +25,7 @@ import numpy as np
 
 from cslsim.ensemble import DensityMatrix
 from cslsim.hilbert import DEGENERACY_RTOL, HermitianOperator, eigenvalue_groups
-from cslsim.postulate import MomentumState, generating_overlap_P, make_superposition
+from cslsim.postulate import MomentumState, make_superposition
 
 
 def interaction_picture(a, h, t):
@@ -54,6 +55,37 @@ def gaussian_translate_overlap(sigma, b):
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     return math.exp(-(b * b) / (8.0 * sigma * sigma))
+
+
+def generating_overlap_P(phi1, phi2, b):
+    """<phi2| exp(i b P) |phi1> by momentum-grid quadrature."""
+    if phi1.grid != phi2.grid:
+        raise ValueError("states live on different momentum grids")
+    p = phi1.grid.momenta
+    return complex(np.sum(np.exp(1j * b * p) * phi2.phi_p.conj() * phi1.phi_p)
+                   * phi1.grid.dp)
+
+
+def generating_overlap_E(phi1, phi2, a, mass=1.0):
+    """<phi2| exp(i a P^2 / 2 mass) |phi1> by momentum-grid quadrature."""
+    if phi1.grid != phi2.grid:
+        raise ValueError("states live on different momentum grids")
+    p = phi1.grid.momenta
+    return complex(np.sum(np.exp(1j * a * p * p / (2.0 * mass))
+                          * phi2.phi_p.conj() * phi1.phi_p) * phi1.grid.dp)
+
+
+def collapse_residual_pair(sup, kind, value, mass=1.0):
+    """The collapse residual from the two cross elements computed apart,
+    each from its own generator and product."""
+    if kind == "momentum":
+        m12 = generating_overlap_P(sup.phi2, sup.phi1, value)
+        m21 = generating_overlap_P(sup.phi1, sup.phi2, value)
+    else:
+        m12 = generating_overlap_E(sup.phi2, sup.phi1, value, mass)
+        m21 = generating_overlap_E(sup.phi1, sup.phi2, value, mass)
+    return abs(sup.alpha1.conjugate() * sup.alpha2 * m12
+               + sup.alpha2.conjugate() * sup.alpha1 * m21)
 
 
 def equal_phase_symmetry(envelope1, envelope2, theta, grid, b_max, n_shifts=201):

@@ -1,6 +1,7 @@
 """The grid density-matrix integrator and the free-particle ledger.
 
-The split-step works on the ring and holds rho as its kappa-sectors.
+The split-step works on the ring and steps the N/2 + 1 independent
+kappa-sectors of the Hermitian rho.
 One sector step is checked against the dense ring-model step
 U (C o rho / Tr rho) U^dag with U = expm(-iH dt/hbar) (scipy as an
 oracle), a short run against the dense Strang product, and whole runs
@@ -74,7 +75,8 @@ def test_kinetic_step_matches_the_dense_product(n_points, scale):
                                 phase * ensemble._skewed(phase.conj()))
     want = sectors(exact)
     assert np.abs(got - want).max() <= MATCH * np.abs(want).max()
-    assert np.abs(ensemble._rho_from_sectors(got) - exact).max() <= MATCH * np.abs(exact).max()
+    half = got[:n_points // 2 + 1]
+    assert np.abs(ensemble._rho_from_sectors(half) - exact).max() <= MATCH * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("n_points", [16, 32])
@@ -137,21 +139,26 @@ def test_every_transform_runs_along_the_last_axis_two_per_step(monkeypatch):
 
         def recorded(a, *args, _func=func, **kwargs):
             axis = kwargs.get("axis", args[1] if len(args) > 1 else -1)
-            calls.append(axis % np.ndim(a) == np.ndim(a) - 1)
+            calls.append((axis % np.ndim(a) == np.ndim(a) - 1, np.shape(a)))
             return _func(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, recorded)
     scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
                                   t_end=1.0, steps=32)
-    counts = []
+    counts, shapes = [], []
     for steps in (8, 16):
         calls.clear()
         ensemble._grid_channels_once(scenario, steps)
         counts.append(len(calls))
-    # Each step is one forward and one inverse row pass; building the
-    # sectors, the seam form and the final rho add a fixed count.
+        shapes.append(sorted(shape for _, shape in calls))
+    # Each step is one forward and one inverse row pass over the
+    # N/2 + 1 stepped sectors; building the sectors, the seam form and the
+    # final rho add a fixed count.
     fixed = counts[0] - 2 * 8
     assert counts[1] - counts[0] == 2 * 8 and 0 < fixed <= 4
+    for shape in shapes[0]:
+        shapes[1].remove(shape)
+    assert shapes[1] == [(33, 64)] * (2 * 8)
     calls.clear()
     seen = spy_step_counts(monkeypatch)
     ensemble.grid_energy_channels(scenario)
@@ -161,7 +168,13 @@ def test_every_transform_runs_along_the_last_axis_two_per_step(monkeypatch):
     grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
     assert seen == [32, 64]
     assert len(calls) == sum(2 * s + fixed for s in seen) + channel_calls
-    assert all(calls)
+    assert all(along for along, _ in calls)
+
+
+@pytest.mark.parametrize("packet", SEAM_CLEAR_PACKETS, ids=lambda k: str(k["n_points"]))
+def test_final_rho_is_hermitian_bit_for_bit(packet):
+    rho = ensemble._grid_channels_once(free_particle_grid(steps=16, **packet), 16)[1]
+    assert np.array_equal(rho, rho.conj().T)
 
 
 def seam_probe(x0, steps=32):
@@ -174,6 +187,31 @@ def seam_coherence_probe():
     mass (4.5e-5) stays below SEAM_MASS."""
     return free_particle_grid(n_points=256, dx=0.25, sigma0=2.0, lam=0.2,
                               t_end=8.0, steps=64, p0=0.5)
+
+
+@pytest.mark.parametrize("scenario", [seam_probe(24.0), seam_coherence_probe()],
+                         ids=["x0=24", "seam-coherence"])
+def test_seam_mass_read_from_the_half_matches_the_full_column(monkeypatch, scenario):
+    # After every step: the edge form over all N sectors of column 0,
+    # sum_kappa f[kappa] Q[kappa, 0], f = ifft(edge), with the sectors
+    # taken from their definition on the rho that the stepped half holds.
+    info = scenario.grid_info
+    n, margin = info.n_points, info.seam_margin
+    edge = np.zeros(n)
+    edge[:margin] = edge[n - margin:] = 1.0
+    form = np.fft.ifft(edge)
+    full = []
+    step = ensemble._sector_step
+
+    def spied(q, *args):
+        out = step(q, *args)
+        full.append((form @ sectors(ensemble._rho_from_sectors(q))[:, 0]).real)
+        return out
+
+    monkeypatch.setattr(ensemble, "_sector_step", spied)
+    seam = ensemble._grid_channels_once(scenario, scenario.grid.steps)[0]
+    assert len(full) == scenario.grid.steps
+    assert seam == pytest.approx(max(full), rel=1e-12)
 
 
 def test_packet_clear_of_the_seam_converges(monkeypatch):

@@ -4,8 +4,8 @@ Covers the unitary grid transforms, disjoint-support conservation of
 both generating functions, position-tail asymptotics of windowed
 states and moment divergence under domain growth, each against a
 closed form or an exact identity.  The inverse transform, the Gaussian
-translate overlap and the equal-phase symmetry scan are test oracles
-(``tests/oracles.py``).
+translate overlap, the equal-phase symmetry scan and the generating-
+function overlaps are test oracles (``tests/oracles.py``).
 """
 
 import math
@@ -13,16 +13,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import equal_phase_symmetry, gaussian_translate_overlap, to_momentum
+from oracles import (collapse_residual_pair, equal_phase_symmetry, gaussian_translate_overlap,
+                     generating_overlap_E, generating_overlap_P, to_momentum)
 
 from cslsim import postulate
 from cslsim.errors import NumericalFailure
 from cslsim.postulate import (MomentumGrid, MomentumState, Superposition,
                               build_window_state, collapse_residual,
-                              eq1_residual, gaussian_state,
-                              generating_overlap_E, generating_overlap_P,
-                              make_superposition, moment_divergence_scan,
-                              tail_exponent, tail_fit, to_position)
+                              eq1_residual, gaussian_state, make_superposition,
+                              moment_divergence_scan, tail_exponent, tail_fit,
+                              to_position)
 
 GRID = MomentumGrid(4096, -8.0, 8.0)
 
@@ -138,6 +138,18 @@ class TestGeneratingFunctions:
             assert collapse_residual(sup, "momentum", float(b)) <= 1e-14
         for a in np.linspace(0.1, 5.0, 20):
             assert collapse_residual(sup, "energy", float(a)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["momentum", "energy"])
+    def test_overlapping_windows_match_the_two_overlaps(self, kind):
+        # Overlapping windows of unequal weights and edge orders: the two
+        # cross elements differ, and the residual does not vanish.
+        sup = make_superposition(0.8, 0.6j, build_window_state(GRID, -3.0, 2.0, 1),
+                                 build_window_state(GRID, -1.0, 4.0, 2, b=0.7))
+        for value in (0.3, 1.1, 2.9):
+            got = collapse_residual(sup, kind, value, mass=1.7)
+            want = collapse_residual_pair(sup, kind, value, mass=1.7)
+            assert want > 1e-3
+            assert got == pytest.approx(want, rel=EXACT)
 
     def test_vanishing_branch_weight_kills_the_residual(self):
         g1 = gaussian_state(GRID, 1.0, x0=-5.0)

@@ -276,3 +276,17 @@ def test_cooked_mode_requires_a_seed():
     scenario = two_level_collapse(t_end=0.1, steps=5)
     with pytest.raises(ValueError, match="seed"):
         evolve(scenario, None)
+
+
+@pytest.mark.parametrize("steps", [20, 10])
+def test_a_path_from_another_time_grid_is_refused_naming_both(steps):
+    # A path of the right length but another span would run with the
+    # wrong variance for the scenario's dt; one of another length would
+    # fail only inside the kernel.
+    scenario = qubit_dephasing(t_end=1.0, steps=20)
+    other = TimeGrid(5.0, steps)
+    path = raw_path(other, scenario.params, 3)
+    with pytest.raises(ValueError) as exc:
+        evolve(scenario, path)
+    assert repr(other) in str(exc.value)
+    assert repr(scenario.grid) in str(exc.value)
