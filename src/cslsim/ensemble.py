@@ -31,11 +31,13 @@ Hermitian, so sector -kappa is the conjugate image of sector kappa, and
 only the N/2 + 1 independent sectors kappa = 0 .. N/2 are stepped.
 Probability at the periodic seam fails a run and is named.
 
-Determinism: an ensemble is split into fixed-size chunks, each chunk is
-propagated as one batch, and partial sums are combined in chunk order
-with pairwise summation.  Worker threads only change who computes a
-chunk, never the arithmetic, so results are identical for any thread
-count.
+Determinism: an ensemble is split into chunks whose size depends on the
+scenario dimension alone (at most 2^16 amplitudes and 4096 trajectories,
+:func:`_chunk_size`), each chunk is propagated as one batch, and partial
+sums are combined in chunk order with pairwise summation.  Worker
+threads only change who computes a chunk, never the arithmetic, so
+results are identical for any thread count.  Kept final states are
+written by each chunk into its own rows of one preallocated array.
 """
 
 from __future__ import annotations
@@ -68,10 +70,12 @@ DENSE_HALVING_TOL = 1e-8
 GRID_HALVING_TOL = 1e-6
 GRID_MAX_REFINE = 4
 
-# Trajectories per batch.  Fixed per scenario dimension (never per worker
-# count) so that reduction order, and hence output bits, are stable.
+# Trajectories per batch: at most 2^16 amplitudes (1 MiB of complex128
+# state) and at most 4096 rows, and at least one row on grids above 2^16
+# points.  Set by the scenario dimension alone (never by the worker count)
+# so that reduction order, and hence output bits, are stable.
 def _chunk_size(dim: int) -> int:
-    return 4096 if dim <= 16 else 256
+    return max(1, min(4096, (1 << 16) // dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +165,12 @@ class EnsembleStats:
 
 
 def _run_chunk(backend, scenario, indices, mode, master_seed, group_starts,
-               record_series, with_field_energy, keep_final_states):
+               record_series, with_field_energy, kept):
     """Propagate one chunk and return its partial sums.  ``group_starts``
-    holds the first coupling index of each outcome group."""
+    holds the first coupling index of each outcome group.  ``kept`` is
+    None or this chunk's rows (states, weights, survived) of the run's
+    kept-state arrays, which it fills unless no row survived (the survived
+    flags start False)."""
     grid = scenario.grid
     params = scenario.params
     s = grid.steps
@@ -217,10 +224,11 @@ def _run_chunk(backend, scenario, indices, mode, master_seed, group_starts,
         out["sum_wA"] = np.vecdot(wt, batch.series_expA.T)
         out["sum_wH"] = np.vecdot(wt, batch.series_expH.T)
 
-    if keep_final_states:
-        out["states"] = states
-        out["weights_row"] = weights
-        out["ok_row"] = ok
+    if kept is not None:
+        kept_states, kept_weights, kept_ok = kept
+        kept_states[...] = states
+        kept_weights[...] = weights
+        kept_ok[...] = ok
     return out
 
 
@@ -267,11 +275,17 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
     groups, values = eigenvalue_groups(backend.coupling_values)
     chunk = _chunk_size(scenario.dim)
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    # Each chunk writes its own disjoint rows, so workers need no lock.
+    kept = None
+    if keep_final_states:
+        kept = (np.empty((n, scenario.dim), dtype=np.complex128), np.empty(n),
+                np.zeros(n, dtype=bool))
 
     def work(span):
         lo, hi = span
         return _run_chunk(backend, scenario, np.arange(lo, hi), mode, master_seed,
-                          groups[:, 0], record_series, with_field_energy, keep_final_states)
+                          groups[:, 0], record_series, with_field_energy,
+                          None if kept is None else tuple(a[lo:hi] for a in kept))
 
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -331,10 +345,9 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
 
     final_states = final_weights = None
     if keep_final_states:
-        rows_s = [p["states"][p["ok_row"]] for p in live]
-        rows_w = [p["weights_row"][p["ok_row"]] for p in live]
-        final_states = np.concatenate(rows_s, axis=0)
-        final_weights = np.concatenate(rows_w, axis=0)
+        final_states, final_weights, ok = kept
+        if n_failed:
+            final_states, final_weights = final_states[ok], final_weights[ok]
 
     return EnsembleStats(
         n_requested=n, n_success=n_success, n_failed=n_failed, mode=mode,

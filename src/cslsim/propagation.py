@@ -385,7 +385,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     ``draws`` may have any memory order; step k reads its column k, which
     is contiguous when it is the transposed view of a step-major (S, B)
     array, as :func:`cslsim.noise.block_increments` returns.  The results
-    do not depend on the order.
+    do not depend on the order.  Raw draws in that order are read in
+    place, never written: the result's ``w`` is then a view of them.
 
     Notes
     -----
@@ -431,7 +432,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         inc = draws.T
         w_steps = np.empty((s, b))
     else:
-        w_steps = np.array(draws.T, dtype=float, order="C")
+        # Read in place when step-major already; raw mode never writes it.
+        w_steps = np.ascontiguousarray(draws.T, dtype=float)
 
     # The reverse sweep's checkpoints: views into one block, step-major.
     checkpoints = {}

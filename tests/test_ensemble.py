@@ -5,6 +5,8 @@ and against closed forms: dephasing rates, fixed points, and the exact
 unit mean of raw importance weights.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,8 @@ from cslsim.ensemble import (DensityMatrix, _grid_channels_once, grid_energy_cha
                              lindblad_propagate, run_ensemble)
 from cslsim.errors import LowEffectiveSampleError, NumericalFailure
 from cslsim.hilbert import HermitianOperator, expm
-from cslsim.noise import trajectory_seed
+from cslsim.noise import block_increments, trajectory_seed
+from cslsim.propagation import evolve_batch, make_backend
 from cslsim.scenarios import (PAULI_X, free_particle_grid, qubit_dephasing,
                               random_dense, two_level_collapse)
 from cslsim.trajectory import evolve
@@ -40,6 +43,13 @@ def purity(rho):
 
 def expectation(rho, op):
     return float(np.trace(op.matrix @ rho.entries).real)
+
+
+def spans_two_chunks_and_a_ragged_one(scenario, n):
+    """Whether ``n`` trajectories of ``scenario`` fill at least two chunks
+    and leave a shorter last one."""
+    chunk = ensemble._chunk_size(scenario.dim)
+    return n // chunk >= 2 and n % chunk > 0
 
 
 def liouvillian_oracle(scenario):
@@ -258,10 +268,12 @@ class TestEnsembleStatistics:
         assert stats.times.size == 51
 
     def test_thread_count_does_not_change_any_bit(self):
+        # 5500 trajectories make chunks of 2730, 2730 and 40 at d = 24.
         scenario = random_dense(77, dim=24, lam=0.3, t_end=1.0, steps=128)
-        one = run_ensemble(scenario, 600, "cooked", 99, record_series=True,
+        assert spans_two_chunks_and_a_ragged_one(scenario, 5500)
+        one = run_ensemble(scenario, 5500, "cooked", 99, record_series=True,
                            threads=1)
-        four = run_ensemble(scenario, 600, "cooked", 99, record_series=True,
+        four = run_ensemble(scenario, 5500, "cooked", 99, record_series=True,
                             threads=4)
         assert np.array_equal(one.outcome_frequencies, four.outcome_frequencies)
         assert np.array_equal(one.outcome_errors, four.outcome_errors)
@@ -270,10 +282,11 @@ class TestEnsembleStatistics:
         assert one.mean_weight == four.mean_weight
 
     def test_grid_thread_count_does_not_change_any_bit(self):
-        # 600 trajectories make three chunks of 256 on the grid.
+        # 2100 trajectories make chunks of 1024, 1024 and 52 on 64 points.
         scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0,
                                       lam=0.05, t_end=1.0, steps=32)
-        one, two = (run_ensemble(scenario, 600, "cooked", 99, record_series=True,
+        assert spans_two_chunks_and_a_ragged_one(scenario, 2100)
+        one, two = (run_ensemble(scenario, 2100, "cooked", 99, record_series=True,
                                  keep_final_states=True, threads=t)
                     for t in (1, 2))
         assert np.array_equal(one.final_states, two.final_states)
@@ -284,6 +297,7 @@ class TestEnsembleStatistics:
     def test_any_trajectory_replays_from_its_index_seed(self):
         # 4200 trajectories make two chunks of 4096 and 104.
         scenario = random_dense(5, steps=64)
+        assert ensemble._chunk_size(scenario.dim) == 4096
         stats = run_ensemble(scenario, 4200, "cooked", 9, keep_final_states=True)
         for i in (0, 17, 4100, 4199):
             one = evolve(scenario, seed=trajectory_seed(9, i))
@@ -292,11 +306,13 @@ class TestEnsembleStatistics:
                                        stats.final_states[i], rtol=0.0, atol=1e-13)
 
     def test_any_grid_trajectory_replays_from_its_index_seed(self):
-        # 300 trajectories make two grid chunks, of 256 and 44.
+        # 2100 trajectories make chunks of 1024, 1024 and 52 on 64 points;
+        # the replays sit on both sides of both boundaries.
         scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
                                       t_end=0.5, steps=16)
-        stats = run_ensemble(scenario, 300, "cooked", 9, keep_final_states=True)
-        for i in (0, 17, 256, 299):
+        assert spans_two_chunks_and_a_ragged_one(scenario, 2100)
+        stats = run_ensemble(scenario, 2100, "cooked", 9, keep_final_states=True)
+        for i in (0, 17, 1023, 1024, 2047, 2048, 2099):
             one = evolve(scenario, seed=trajectory_seed(9, i))
             np.testing.assert_allclose(one.final_state.normalized().amplitudes,
                                        stats.final_states[i], rtol=0.0, atol=1e-13)
@@ -331,6 +347,123 @@ class TestEnsembleStatistics:
             run_ensemble(scenario, 0, "cooked", 1)
         with pytest.raises(ValueError):
             run_ensemble(scenario, 10, "fried", 1)
+
+
+def spy_chunks(monkeypatch):
+    """Record the indices and the kept-state rows each chunk is given."""
+    seen = []
+    real = ensemble._run_chunk
+
+    def spy(backend, scenario, indices, *args):
+        seen.append((indices, args[-1]))
+        return real(backend, scenario, indices, *args)
+
+    monkeypatch.setattr(ensemble, "_run_chunk", spy)
+    return seen
+
+
+def fail_rows(monkeypatch, rows):
+    """Flag the trajectories ``rows`` (ensemble indices) as failed in the
+    kernel's result, whichever worker thread runs their chunk."""
+    local = threading.local()
+    real_draws, real_evolve = ensemble.block_increments, ensemble.evolve_batch
+
+    def draws(grid, params, master_seed, indices):
+        local.indices = indices
+        return real_draws(grid, params, master_seed, indices)
+
+    def evolve_batch(*args, **kwargs):
+        batch = real_evolve(*args, **kwargs)
+        batch.failed |= np.isin(local.indices, rows)
+        return batch
+
+    monkeypatch.setattr(ensemble, "block_increments", draws)
+    monkeypatch.setattr(ensemble, "evolve_batch", evolve_batch)
+
+
+class TestChunksAndKeptStates:
+    # 2048 points: chunks of 32 rows, so 400 trajectories make 12 full
+    # chunks and one of 16.
+    GRID = dict(n_points=2048, dx=0.25, sigma0=4.0, lam=0.05, t_end=0.25, steps=8)
+
+    def test_chunks_hold_at_most_2_16_amplitudes_and_4096_rows(self):
+        for dim, rows in ((2, 4096), (16, 4096), (24, 2730), (256, 256),
+                          (1024, 64), (1 << 16, 1), (1 << 17, 1)):
+            assert ensemble._chunk_size(dim) == rows
+
+    def test_grid_above_2_16_points_runs_in_one_row_chunks(self, monkeypatch):
+        scenario = free_particle_grid(n_points=1 << 17, t_end=0.01, steps=2)
+        seen = spy_chunks(monkeypatch)
+        stats = run_ensemble(scenario, 2, "cooked", 4, keep_final_states=True)
+        assert [indices.tolist() for indices, _ in seen] == [[0], [1]]
+        assert stats.n_success == 2
+        assert stats.final_states.shape == (2, 1 << 17)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kept_states_are_the_survivors_in_index_order(self, monkeypatch, threads):
+        scenario = free_particle_grid(**self.GRID)
+        n, chunk = 400, ensemble._chunk_size(scenario.dim)
+        assert (n // chunk, n % chunk) == (12, 16)
+        # Rows 96 .. 127 are the whole fourth chunk; 35 of 400 stay under
+        # the 10 % failure limit.
+        failed = np.r_[5, 96:128, 200, 399]
+        grid, params = scenario.grid, scenario.params
+        backend = make_backend(scenario, grid.dt)
+        want_s, want_w = [], []
+        for lo in range(0, n, chunk):
+            indices = np.arange(lo, min(lo + chunk, n))
+            batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
+                                 block_increments(grid, params, 3, indices), mode="raw")
+            keep = ~np.isin(indices, failed)
+            want_s.append(backend.read_out(batch.final_internal)[1][keep])
+            want_w.append(np.exp(batch.log_red)[keep])
+
+        fail_rows(monkeypatch, failed)
+        stats = run_ensemble(scenario, n, "raw", 3, keep_final_states=True,
+                             threads=threads)
+        assert (stats.n_success, stats.n_failed) == (n - failed.size, failed.size)
+        assert np.array_equal(stats.final_states, np.concatenate(want_s))
+        assert np.array_equal(stats.final_weights, np.concatenate(want_w))
+
+    def test_a_run_without_failure_returns_the_rows_its_chunks_wrote(self, monkeypatch):
+        scenario = free_particle_grid(**self.GRID)
+        seen = spy_chunks(monkeypatch)
+        stats = run_ensemble(scenario, 100, "cooked", 3, keep_final_states=True,
+                             threads=2)
+        assert stats.n_failed == 0 and len(seen) == 4
+        for indices, (states, weights, _) in seen:
+            assert np.shares_memory(states, stats.final_states)
+            assert np.shares_memory(weights, stats.final_weights)
+            assert np.array_equal(states, stats.final_states[indices])
+
+    def test_workers_fill_their_own_rows_under_frequent_switches(self):
+        # More workers than cores, switching threads every microsecond: a
+        # row written by the wrong chunk or lost would change the states.
+        scenario = free_particle_grid(**self.GRID)
+        one = run_ensemble(scenario, 400, "cooked", 8, keep_final_states=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            four = run_ensemble(scenario, 400, "cooked", 8, keep_final_states=True,
+                                threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one.final_states, four.final_states)
+        assert np.array_equal(one.final_weights, four.final_weights)
+
+    def test_kept_states_are_held_once(self):
+        # The kept states of 512 trajectories on the 1024-point grid are
+        # 8 MiB; with them written once, the run's peak was measured at
+        # 1.49 times that (three copies of them made it 3.02 times).
+        scenario = free_particle_grid(t_end=0.5, steps=16)
+        tracemalloc.start()
+        try:
+            stats = run_ensemble(scenario, 512, "cooked", 1, record_series=True,
+                                 keep_final_states=True, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * stats.final_states.nbytes
 
 
 class TestEnsembleAgainstLindblad:

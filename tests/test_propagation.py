@@ -88,6 +88,29 @@ def test_grid_final_read_out_is_one_transform_pair(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_raw_kernel_reads_step_major_draws_in_place():
+    # block_increments' step-major draws are the raw field values as they
+    # stand: the kernel neither copies nor writes them.
+    scenario = qubit_dephasing(t_end=1.0, steps=20)
+    grid, params = scenario.grid, scenario.params
+    backend = make_backend(scenario, grid.dt)
+    draws = block_increments(grid, params, 6, np.arange(7))
+    before = draws.copy()
+    batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
+                         mode="raw", with_field_energy=True)
+    assert np.shares_memory(batch.w, draws)
+    assert np.array_equal(draws, before)
+    # A path's values are read-only, and run as a writeable copy does.
+    path = NoisePath(grid, draws[3], "raw")
+    assert not path.values.flags.writeable
+    one = evolve(scenario, path, with_field_energy=True)
+    copy = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
+                        path.values.copy()[None, :], mode="raw", with_field_energy=True)
+    assert one.field_energy_sample == copy.field_energy[0]
+    assert one.log_reduced_norm2 == copy.log_red[0]
+    assert np.array_equal(one.w, path.values)
+
+
 def test_kernel_flags_rows_that_leave_the_floating_range():
     # H = 0, so each eigencomponent's exponent is dt (w a_i - lam a_i^2):
     # w = +1e6 overflows the exponent limit, w = -1e6 underflows every
