@@ -19,7 +19,8 @@ import numpy as np
 
 from .ensemble import DensityMatrix, lindblad_propagate, run_ensemble
 from .errors import LowEffectiveSampleError
-from .ledger import build_ledger, conservation_check, observable_drift
+from .ledger import (balance_tolerance, build_ledger, conservation_check,
+                     observable_drift)
 from .postulate import (MomentumGrid, build_window_state, collapse_residual,
                         gaussian_state, make_superposition,
                         moment_divergence_scan, tail_exponent)
@@ -49,10 +50,6 @@ class CriterionResult:
 
 def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(t, y, 1)[0])
-
-
-def _operator_norm(op) -> float:
-    return float(np.abs(op.spectrum().eigenvalues).max())
 
 
 @lru_cache(maxsize=2)
@@ -120,7 +117,6 @@ def _random_scenario_pack():
         rho0 = DensityMatrix.from_state(scenario.psi0)
         series = lindblad_propagate(rho0, scenario)
         ledger = build_ledger(scenario, series=series)
-        h_norm = _operator_norm(scenario.hamiltonian)
         deviation = conservation_check(ledger)
 
         energy = series.sys_energy
@@ -131,7 +127,8 @@ def _random_scenario_pack():
         d_2h = (energy[idx + 2] - energy[idx - 2]) / (4.0 * h)
         fd = (4.0 * d_h - d_2h) / 3.0
         drift_rel = float(np.max(np.abs(fd - formula[idx])) / np.max(np.abs(formula)))
-        pack.append({"lam": lam, "h_norm": h_norm, "deviation": deviation,
+        pack.append({"lam": lam, "tolerance": balance_tolerance(scenario),
+                     "deviation": deviation,
                      "drift_rel": drift_rel})
     return pack
 
@@ -140,7 +137,7 @@ def criterion_ledger_balance(threads: int = 1) -> CriterionResult:
     """System plus field energy stays at its initial value."""
     t0 = time.perf_counter()
     pack = _random_scenario_pack()
-    worst = max(item["deviation"] / (QUADRATURE * item["h_norm"]) for item in pack)
+    worst = max(item["deviation"] / item["tolerance"] for item in pack)
     passed = worst <= 1.0
     detail = f"20 random scenarios, worst deviation {worst:.3f} of the 1e-6*|H| budget"
     return CriterionResult(3, "energy_ledger_balance", passed, detail,

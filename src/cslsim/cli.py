@@ -36,14 +36,13 @@ import numpy as np
 from . import __version__
 from .ensemble import run_ensemble
 from .errors import ConfigError, NonHermitianError, NumericalFailure, ZeroNormError
-from .ledger import build_ledger, conservation_check
+from .ledger import balance_tolerance, build_ledger, conservation_check
 from .postulate import (MomentumGrid, build_window_state, collapse_residual,
                         eq1_residual, gaussian_state, make_superposition,
                         moment_divergence_scan, tail_fit)
 from .reports import (RunManifest, ensemble_report, write_csv, write_json,
                       write_ensemble_series_csv, write_ledger_csv)
 from .scenarios import free_particle_grid, qubit_dephasing, random_dense, two_level_collapse
-from .tolerances import QUADRATURE
 from . import acceptance
 
 EXIT_OK = 0
@@ -125,10 +124,8 @@ class _Section:
                               f"must be one of {sorted(choices)}, got {raw!r}")
         return raw
 
-    def number_pair(self, name: str, *, required: bool = True, default=None):
-        raw = self._take(name, required, self._MISSING)
-        if raw is self._MISSING:
-            return default
+    def number_pair(self, name: str):
+        raw = self._take(name, True, None)
         ok = (isinstance(raw, list) and len(raw) == 2
               and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v in raw))
@@ -136,11 +133,8 @@ class _Section:
             raise ConfigError(self.key(name), "must be a list of two numbers")
         return float(raw[0]), float(raw[1])
 
-    def int_list(self, name: str, *, required: bool = True, default=None,
-                 minimum=None):
-        raw = self._take(name, required, self._MISSING)
-        if raw is self._MISSING:
-            return default
+    def int_list(self, name: str, *, minimum=None):
+        raw = self._take(name, True, None)
         ok = (isinstance(raw, list) and raw
               and all(isinstance(v, int) and not isinstance(v, bool) for v in raw))
         if not ok:
@@ -241,15 +235,6 @@ def build_scenario(root: _Section, kind: str):
     return scenario, seeds
 
 
-def _hamiltonian_norm(scenario) -> float:
-    if scenario.grid_info is not None:
-        p = scenario.params
-        return float(scenario.grid_info.kinetic_energies(p.hbar).max())
-    if scenario.hamiltonian is None:
-        return 0.0
-    return float(np.abs(scenario.hamiltonian.spectrum().eigenvalues).max())
-
-
 def _prefix(root: _Section, kind: str) -> str:
     out = root.section("output", required=False)
     if out is None:
@@ -331,7 +316,7 @@ def cmd_ledger(args) -> int:
     timings["ledger"] = time.perf_counter() - t0
 
     deviation = conservation_check(ledger)
-    tolerance = QUADRATURE * max(_hamiltonian_norm(scenario), 1.0)
+    tolerance = balance_tolerance(scenario)
     passed = deviation <= tolerance
     summary = {
         "kind": kind,

@@ -100,6 +100,18 @@ def conservation_check(ledger: EnergyLedger) -> float:
     return float(np.abs(total - total[0]).max())
 
 
+def balance_tolerance(scenario: Scenario) -> float:
+    """Largest deviation of the total that a balanced ledger may show:
+    ``QUADRATURE`` relative to the energy scale of the Hamiltonian, its
+    largest |eigenvalue| (on the grid, its largest kinetic energy), and
+    absolute below a scale of 1."""
+    if scenario.grid_info is not None:
+        h_norm = scenario.grid_info.kinetic_energies(scenario.params.hbar).max()
+    else:
+        h_norm = np.abs(scenario.hamiltonian.spectrum().eigenvalues).max()
+    return QUADRATURE * max(float(h_norm), 1.0)
+
+
 def observable_drift(q: HermitianOperator, scenario: Scenario,
                      series: LindbladSeries) -> np.ndarray:
     """Predicted drift rate of a conserved-in-isolation observable.

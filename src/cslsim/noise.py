@@ -1,27 +1,25 @@
 """Time discretization and collapse-noise sampling.
 
 The collapse field w(t) is represented as a step function: one value per
-interval of a uniform ``TimeGrid``, constant on [t_k, t_{k+1}).  Two
-sampling modes exist:
+interval of a uniform ``TimeGrid``, constant on [t_k, t_{k+1}).  The
+field is sampled in one of two modes:
 
 * ``raw``: values are i.i.d. Normal(0, lam/dt).  This is the reference
   Gaussian measure of the model; physical averages are recovered by
   weighting each path with the squared norm of its reduced propagator
-  (see the trajectory module).
+  (see the ensemble module).
 * ``cooked``: values follow the physical path distribution to leading
   order in dt, i.e. Normal(2*lam*<A(t)>, lam/dt) with the mean taken in
   the current normalized state at the left endpoint of the step.  Cooked
   paths are produced *by* an evolution, not ahead of it, because the mean
   is state dependent.
 
-Seeding contract: every trajectory draws its standardized increments in a
-single vectorized call from a PCG64 generator seeded by
-``SeedSequence(master_seed, spawn_key=(index,))``.  Results are therefore
-reproducible and independent of how trajectories are batched across
-workers.  An ensemble derives the seed words of a whole chunk in one
-vectorized pass over its indices (``block_increments``); the stream of
-each index is the one ``standard_increments(grid, params,
-trajectory_seed(master_seed, index))`` draws, bit for bit, so any
+Seeding contract: trajectory ``index`` of a run at ``master_seed`` draws
+its standardized increments in a single vectorized call from a PCG64
+generator seeded by ``SeedSequence(master_seed, spawn_key=(index,))``.
+``block_increments`` derives the seed words of a whole chunk in one
+vectorized pass over its indices, so the draws of a trajectory do not
+depend on how trajectories are batched across workers, and any
 trajectory of an ensemble can be replayed on its own.
 """
 
@@ -76,50 +74,6 @@ class TimeGrid:
         return np.linspace(0.0, self.t_end, self.steps + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class NoisePath:
-    """A realized step function w with one value per grid interval.
-
-    ``mode`` is "raw" (drawn from the Gaussian reference measure, so the
-    path carries its importance weight) or "given" (replayed, weight 1).
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.steps,):
-            raise ValueError(
-                f"path needs {self.grid.steps} values, got shape {v.shape}"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError("path values must be finite")
-        if self.mode not in ("raw", "given"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        v = np.array(v)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
-def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    """Derive the per-trajectory seed stream from a master seed."""
-    return np.random.SeedSequence(master_seed, spawn_key=(index,))
-
-
-def standard_increments(grid: TimeGrid, params: CollapseParams, seed) -> np.ndarray:
-    """Draw the zero-mean part of a path: S values ~ Normal(0, lam/dt).
-
-    ``seed`` may be an int or a ``SeedSequence``.  Exactly one vectorized
-    draw is made, which is the whole reproducibility contract: the same
-    seed gives the same increments no matter who consumes them.
-    """
-    rng = np.random.default_rng(seed)
-    sigma = np.sqrt(params.lam / grid.dt)
-    return rng.standard_normal(grid.steps) * sigma
-
-
 # SeedSequence's pool size and hash constants (O'Neill's seed_seq_fe, as
 # numpy implements it in numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -145,8 +99,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _spawned_state_words(master_seed: int, indices: np.ndarray) -> np.ndarray:
-    """``trajectory_seed(master_seed, i).generate_state(4, np.uint64)`` for
-    every ``i`` in ``indices`` at once, shape (B, 4).
+    """``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4,
+    np.uint64)`` for every ``i`` in ``indices`` at once, shape (B, 4).
 
     The entropy is the master seed's 32-bit words, zero-padded to the pool
     size because a spawn key is present, followed by the index as the one
@@ -221,12 +175,11 @@ def block_increments(grid: TimeGrid, params: CollapseParams, master_seed: int,
     (B, S), held step-major: the result is the transposed view of a
     C-order (S, B) array, so the draws of one step are contiguous.
 
-    Column ``r`` of the step-major array (row ``r`` of the result) equals
-    ``standard_increments(grid, params, trajectory_seed(master_seed,
-    indices[r]))`` bit for bit: the seed words of all trajectories are
-    derived in one vectorized pass, and each trajectory is one vectorized
-    draw from its own PCG64 stream into a row of a small tile, which is
-    scaled into place.
+    Row ``r`` of the result equals ``default_rng(SeedSequence(master_seed,
+    spawn_key=(indices[r],))).standard_normal(S) * sqrt(lam / dt)`` bit for
+    bit: the seed words of all trajectories are derived in one vectorized
+    pass, and each trajectory is one vectorized draw from its own PCG64
+    stream into a row of a small tile, which is scaled into place.
     """
     words = _spawned_state_words(master_seed, indices)
     b = words.shape[0]

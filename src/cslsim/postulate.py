@@ -173,13 +173,12 @@ def build_window_state(grid: MomentumGrid, p1: float, p2: float, n: int,
     return MomentumState(grid, _normalized(grid, phi))
 
 
-def gaussian_state(grid: MomentumGrid, sigma_x: float, x0: float = 0.0,
-                   p0: float = 0.0) -> MomentumState:
-    """Gaussian with position spread sigma_x centered at (x0, p0)."""
+def gaussian_state(grid: MomentumGrid, sigma_x: float, x0: float = 0.0) -> MomentumState:
+    """Gaussian with position spread sigma_x centered at x0, at rest."""
     if sigma_x <= 0.0:
         raise ValueError("sigma_x must be positive")
     p = grid.momenta
-    phi = np.exp(-(sigma_x**2) * (p - p0) ** 2 - 1j * p * x0).astype(np.complex128)
+    phi = np.exp(-(sigma_x**2) * p ** 2 - 1j * p * x0).astype(np.complex128)
     return MomentumState(grid, _normalized(grid, phi))
 
 

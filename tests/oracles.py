@@ -11,6 +11,10 @@ expectation it differentiates.  Eigenvalue grouping is checked against its earli
 loop, and the collapse residual against its two cross elements computed
 apart by the generating-function overlaps.
 
+The per-trajectory noise stream is the reference that the ensemble's
+block draws match bit for bit, and a field path of given values runs
+through the kernel as a one-row batch.
+
 The rest are oracles the package itself has no use for: the
 interaction-picture rotation, the inverse momentum transform, the
 closed-form Gaussian translate overlap, the equal-phase symmetry scan,
@@ -26,6 +30,28 @@ import numpy as np
 from cslsim.ensemble import DensityMatrix
 from cslsim.hilbert import DEGENERACY_RTOL, HermitianOperator, eigenvalue_groups
 from cslsim.postulate import MomentumState, make_superposition
+from cslsim.propagation import evolve_batch, make_backend
+
+
+def trajectory_increments(grid, params, master_seed, index):
+    """The zero-mean part of the path of trajectory ``index`` at
+    ``master_seed``: one vectorized draw of S values ~ Normal(0, lam/dt)
+    from its own ``SeedSequence(master_seed, spawn_key=(index,))``."""
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+    return rng.standard_normal(grid.steps) * np.sqrt(params.lam / grid.dt)
+
+
+def run_path(scenario, values, *, record_series=False, with_field_energy=False):
+    """Run the field ``values`` verbatim (raw mode) as a one-row batch.
+    Returns the batch result and the unnormalized lab-frame final state,
+    whose squared norm is the path's reduced-propagator weight."""
+    backend = make_backend(scenario, scenario.grid.dt)
+    batch = evolve_batch(backend, scenario.grid, scenario.params,
+                         scenario.psi0.amplitudes, np.array(values, dtype=float)[None, :],
+                         mode="raw", record_series=record_series,
+                         with_field_energy=with_field_energy)
+    _, lab = backend.read_out(batch.final_internal)
+    return batch, lab[0] * math.exp(0.5 * batch.log_red[0])
 
 
 def interaction_picture(a, h, t):

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import trajectory_increments
 
-from cslsim.noise import (CollapseParams, NoisePath, TimeGrid,
-                          block_increments, standard_increments,
-                          trajectory_seed)
+from cslsim.noise import CollapseParams, TimeGrid, block_increments
 
 
 class TestCollapseParams:
@@ -42,16 +41,16 @@ class TestIncrements:
     def test_seeding_is_reproducible_and_index_dependent(self):
         grid = TimeGrid(1.0, 64)
         params = CollapseParams(lam=0.5)
-        a = standard_increments(grid, params, trajectory_seed(7, 3))
-        b = standard_increments(grid, params, trajectory_seed(7, 3))
-        c = standard_increments(grid, params, trajectory_seed(7, 4))
+        a = block_increments(grid, params, 7, np.array([3]))
+        b = block_increments(grid, params, 7, np.array([3]))
+        c = block_increments(grid, params, 7, np.array([4]))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_scale_is_sqrt_lam_over_dt(self):
         grid = TimeGrid(1.0, 20_000)
         params = CollapseParams(lam=0.8)
-        draws = standard_increments(grid, params, 123)
+        draws = block_increments(grid, params, 123, np.array([0]))
         target = params.lam / grid.dt
         # Sample variance of 20000 normals: relative sd about 1%.
         assert np.var(draws) == pytest.approx(target, rel=0.05)
@@ -59,7 +58,7 @@ class TestIncrements:
 
     def test_zero_rate_gives_zero_field(self):
         grid = TimeGrid(1.0, 16)
-        draws = standard_increments(grid, CollapseParams(lam=0.0), 5)
+        draws = block_increments(grid, CollapseParams(lam=0.0), 5, np.arange(3))
         assert np.all(draws == 0.0)
 
 
@@ -74,7 +73,7 @@ class TestBlockIncrements:
             block = block_increments(grid, params, master, idx)
             assert block.shape == (idx.size, grid.steps)
             for row, i in zip(block, idx):
-                ref = standard_increments(grid, params, trajectory_seed(master, int(i)))
+                ref = trajectory_increments(grid, params, master, int(i))
                 assert np.array_equal(row, ref)
 
     def test_seeds_outside_one_spawn_word_are_refused(self):
@@ -87,24 +86,5 @@ class TestBlockIncrements:
         with pytest.raises(ValueError):
             block_increments(grid, params, 0, np.array([-1]))
         with pytest.raises(ValueError):
-            trajectory_seed(-1, 0)
-        with pytest.raises(ValueError):
             block_increments(grid, params, -1, np.arange(4))
 
-
-class TestNoisePath:
-    def test_validation(self):
-        grid = TimeGrid(1.0, 4)
-        with pytest.raises(ValueError):
-            NoisePath(grid, np.zeros(5), "raw")
-        with pytest.raises(ValueError):
-            NoisePath(grid, [0.0, np.inf, 0.0, 0.0], "raw")
-        with pytest.raises(ValueError):
-            NoisePath(grid, np.zeros(4), "boiled")
-        with pytest.raises(ValueError):
-            NoisePath(grid, np.zeros(4), "cooked")  # cooked paths come from a seed
-
-    def test_values_read_only(self):
-        path = NoisePath(TimeGrid(1.0, 4), np.zeros(4), "given")
-        with pytest.raises(ValueError):
-            path.values[0] = 1.0

@@ -18,9 +18,10 @@ from cslsim import propagation
 from cslsim.ensemble import run_ensemble
 from cslsim.errors import NumericalFailure
 from cslsim.hilbert import HermitianOperator, StateVector
-from cslsim.noise import CollapseParams, NoisePath, TimeGrid, block_increments
+from cslsim.noise import CollapseParams, TimeGrid, block_increments
 from cslsim.propagation import GridBackend, SpectralBackend, evolve_batch, make_backend
-from cslsim.scenarios import free_particle_grid, qubit_dephasing, random_dense
+from cslsim.scenarios import (free_particle_grid, qubit_dephasing, random_dense,
+                              two_level_collapse)
 from cslsim.trajectory import Scenario, evolve
 
 DRIFT_MATCH = 1e-12
@@ -100,15 +101,16 @@ def test_raw_kernel_reads_step_major_draws_in_place():
                          mode="raw", with_field_energy=True)
     assert np.shares_memory(batch.w, draws)
     assert np.array_equal(draws, before)
-    # A path's values are read-only, and run as a writeable copy does.
-    path = NoisePath(grid, draws[3], "raw")
-    assert not path.values.flags.writeable
-    one = evolve(scenario, path, with_field_energy=True)
+    # Read-only field values run as a writeable copy does.
+    frozen = draws[3:4].copy()
+    frozen.flags.writeable = False
+    one = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, frozen,
+                       mode="raw", with_field_energy=True)
     copy = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
-                        path.values.copy()[None, :], mode="raw", with_field_energy=True)
-    assert one.field_energy_sample == copy.field_energy[0]
-    assert one.log_reduced_norm2 == copy.log_red[0]
-    assert np.array_equal(one.w, path.values)
+                        draws[3:4].copy(), mode="raw", with_field_energy=True)
+    assert one.field_energy[0] == copy.field_energy[0]
+    assert one.log_red[0] == copy.log_red[0]
+    assert np.array_equal(one.w, frozen)
 
 
 def test_kernel_flags_rows_that_leave_the_floating_range():
@@ -129,8 +131,10 @@ def test_kernel_flags_rows_that_leave_the_floating_range():
     assert batch.failed.tolist() == [False, True, True]
     for out in (batch.final_internal, batch.log_red, batch.w, batch.interaction):
         assert np.isfinite(out).all()
+    # A replay raises instead: one step at lam = 1e4 underflows every
+    # component of the cooked path.
     with pytest.raises(NumericalFailure, match="left the floating range"):
-        evolve(scenario, NoisePath(scenario.grid, w[2], "given"))
+        evolve(two_level_collapse(lam=1e4, t_end=1.0, steps=1), 0, 0)
 
 
 def test_flagging_one_row_leaves_the_others_bit_identical():

@@ -3,32 +3,28 @@
 The reference propagator here is deliberately slow and explicit: it
 rotates the coupling to each step midpoint with one scipy.linalg.expm
 per step and multiplies the reduced factors out in the lab frame.  The
-batched kernel must match it to near machine precision, path by path,
-not merely in distribution.
+batched kernel, run on one path of field values, must match it to near
+machine precision, path by path, not merely in distribution.  Cooked
+trajectories are the replays of ``evolve``.
 """
 
 import math
 
 import numpy as np
 import pytest
-from oracles import collapse_metrics, dense_kinetic_hamiltonian
+from oracles import (collapse_metrics, dense_kinetic_hamiltonian, run_path,
+                     trajectory_increments)
 from scipy.linalg import expm
 
 from cslsim import propagation
 from cslsim.hilbert import HermitianOperator, StateVector
-from cslsim.noise import (CollapseParams, NoisePath, TimeGrid, standard_increments,
-                          trajectory_seed)
+from cslsim.noise import CollapseParams, TimeGrid
 from cslsim.propagation import GridInfo
 from cslsim.scenarios import qubit_dephasing, two_level_collapse
 from cslsim.trajectory import Scenario, evolve
 
 # Single-path agreement between the kernel and the expm reference.
 PATH_MATCH = 1e-11
-
-
-def raw_path(grid, params, seed):
-    """A raw-measure path: i.i.d. Normal(0, lam/dt) values."""
-    return NoisePath(grid, standard_increments(grid, params, seed), "raw")
 
 
 def naive_reduced_states(scenario, values):
@@ -59,28 +55,26 @@ def naive_final_state(scenario, values):
 class TestAgainstDenseReference:
     def test_factorized_kernel_matches_expm_product(self):
         scenario = qubit_dephasing(omega=1.3, lam=0.35, t_end=0.5, steps=50)
-        path = raw_path(scenario.grid, scenario.params, trajectory_seed(5, 0))
-        result = evolve(scenario, path)
-        ref = naive_final_state(scenario, path.values)
-        assert result.weight == pytest.approx(float(np.vdot(ref, ref).real),
-                                              rel=PATH_MATCH)
-        np.testing.assert_allclose(result.final_state.amplitudes, ref,
-                                   atol=PATH_MATCH)
+        values = trajectory_increments(scenario.grid, scenario.params, 5, 0)
+        batch, final = run_path(scenario, values)
+        ref = naive_final_state(scenario, values)
+        assert math.exp(batch.log_red[0]) == pytest.approx(float(np.vdot(ref, ref).real),
+                                                           rel=PATH_MATCH)
+        np.testing.assert_allclose(final, ref, atol=PATH_MATCH)
 
     def test_kernel_matches_reference_with_nonunit_hbar(self):
         scenario = qubit_dephasing(omega=0.9, lam=0.2, t_end=0.4, steps=32,
                                    hbar=1.7)
-        path = raw_path(scenario.grid, scenario.params, trajectory_seed(6, 1))
-        result = evolve(scenario, path)
-        ref = naive_final_state(scenario, path.values)
-        np.testing.assert_allclose(result.final_state.amplitudes, ref,
-                                   atol=PATH_MATCH)
+        values = trajectory_increments(scenario.grid, scenario.params, 6, 1)
+        _, final = run_path(scenario, values)
+        ref = naive_final_state(scenario, values)
+        np.testing.assert_allclose(final, ref, atol=PATH_MATCH)
 
     def test_recorded_series_matches_reference_states(self):
         scenario = qubit_dephasing(lam=0.3, t_end=0.5, steps=20)
-        path = raw_path(scenario.grid, scenario.params, trajectory_seed(7, 2))
-        result = evolve(scenario, path, record_series=True)
-        states = naive_reduced_states(scenario, path.values)
+        values = trajectory_increments(scenario.grid, scenario.params, 7, 2)
+        batch, _ = run_path(scenario, values, record_series=True)
+        states = naive_reduced_states(scenario, values)
         h = scenario.hamiltonian.matrix
         a = scenario.collapse_op.matrix
         for k, psi in enumerate(states):
@@ -89,8 +83,8 @@ class TestAgainstDenseReference:
             lab = rot @ psi
             n2 = float(np.vdot(lab, lab).real)
             exp_a = float(np.vdot(lab, a @ lab).real) / n2
-            assert result.series_expA[k] == pytest.approx(exp_a, abs=1e-10)
-            assert result.series_log_norm2[k] == pytest.approx(math.log(n2),
+            assert batch.series_expA[0, k] == pytest.approx(exp_a, abs=1e-10)
+            assert batch.log_red_series[0, k] == pytest.approx(math.log(n2),
                                                                abs=1e-10)
 
 
@@ -107,23 +101,23 @@ class TestClosedForms:
             grid=TimeGrid(1.0, 40))
         rng = np.random.default_rng(51)
         w = rng.normal(0.0, 2.0, size=40)
-        path = NoisePath(scenario.grid, w, "given")
-        result = evolve(scenario, path)
+        _, final = run_path(scenario, w)
         dt = scenario.grid.dt
         log_gain = dt * w.sum() * a_vals - 0.9 * scenario.grid.t_end * a_vals**2
         expected = np.exp(log_gain) * scenario.psi0.amplitudes
-        np.testing.assert_allclose(result.final_state.amplitudes, expected,
-                                   rtol=1e-10)
-        assert result.weight == 1.0  # given paths carry no importance weight
+        np.testing.assert_allclose(final, expected, rtol=1e-10)
 
     def test_zero_rate_path_is_purely_unitary(self):
         scenario = qubit_dephasing(omega=1.1, lam=0.0, t_end=0.7, steps=30)
-        result = evolve(scenario, seed=3)
+        result = evolve(scenario, 3, 0)
         assert np.all(result.w == 0.0)
-        assert result.log_reduced_norm2 == pytest.approx(0.0, abs=1e-12)
         ref = expm(-1j * scenario.hamiltonian.matrix * 0.7) @ scenario.psi0.amplitudes
         np.testing.assert_allclose(result.final_state.amplitudes, ref,
                                    atol=1e-11)
+        # The reduced propagator is the identity: the path keeps its norm.
+        batch, final = run_path(scenario, result.w)
+        assert batch.log_red[0] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(final, ref, atol=1e-11)
 
     def test_coupling_eigenstate_is_a_fixed_point(self):
         scenario = Scenario(
@@ -132,7 +126,7 @@ class TestClosedForms:
             psi0=StateVector([1.0, 0.0]),
             params=CollapseParams(lam=1.0),
             grid=TimeGrid(2.0, 100))
-        result = evolve(scenario, seed=17)
+        result = evolve(scenario, 17, 0)
         # Populations follow the ascending eigenvalue order (-1, +1).
         np.testing.assert_allclose(result.coupling_populations, [0.0, 1.0],
                                    atol=1e-14)
@@ -144,26 +138,25 @@ class TestClosedForms:
 class TestDeterminismAndReplay:
     def test_same_path_same_bits(self):
         scenario = qubit_dephasing(t_end=0.5, steps=40)
-        path = raw_path(scenario.grid, scenario.params, trajectory_seed(9, 0))
-        r1 = evolve(scenario, path)
-        r2 = evolve(scenario, path)
-        assert np.array_equal(r1.final_state.amplitudes, r2.final_state.amplitudes)
-        assert r1.weight == r2.weight
+        values = trajectory_increments(scenario.grid, scenario.params, 9, 0)
+        (b1, f1), (b2, f2) = run_path(scenario, values), run_path(scenario, values)
+        assert np.array_equal(f1, f2)
+        assert b1.log_red[0] == b2.log_red[0]
 
     def test_cooked_seed_determinism(self):
         scenario = two_level_collapse(t_end=1.0, steps=100)
-        r1 = evolve(scenario, seed=trajectory_seed(10, 0))
-        r2 = evolve(scenario, seed=trajectory_seed(10, 0))
-        r3 = evolve(scenario, seed=trajectory_seed(10, 1))
+        r1 = evolve(scenario, 10, 0)
+        r2 = evolve(scenario, 10, 0)
+        r3 = evolve(scenario, 10, 1)
         assert np.array_equal(r1.w, r2.w)
         assert np.array_equal(r1.final_state.amplitudes, r2.final_state.amplitudes)
         assert not np.array_equal(r1.w, r3.w)
 
     def test_cooked_field_replays_to_the_same_state(self):
         scenario = qubit_dephasing(t_end=1.0, steps=80)
-        cooked = evolve(scenario, seed=trajectory_seed(11, 0))
-        replay = evolve(scenario, NoisePath(scenario.grid, cooked.w, "given"))
-        np.testing.assert_allclose(replay.final_state.amplitudes,
+        cooked = evolve(scenario, 11, 0)
+        _, replay = run_path(scenario, cooked.w)
+        np.testing.assert_allclose(StateVector(replay).normalized().amplitudes,
                                    cooked.final_state.amplitudes, atol=1e-12)
 
 
@@ -195,28 +188,25 @@ def test_interaction_sample_recomputes_from_the_final_state():
         psi0=StateVector(np.array([0.6, 0.48, 0.64])),
         params=CollapseParams(lam=0.5),
         grid=TimeGrid(1.0, 30))
-    path = raw_path(scenario.grid, scenario.params, trajectory_seed(12, 0))
-    result = evolve(scenario, path)
-    pops = np.abs(result.final_state.normalized().amplitudes) ** 2
+    values = trajectory_increments(scenario.grid, scenario.params, 12, 0)
+    batch, final = run_path(scenario, values)
+    pops = np.abs(StateVector(final).normalized().amplitudes) ** 2
     a = np.diag(a_op.matrix).real
-    v = result.w[-1] * (pops @ a) - 2 * 0.5 * (pops @ (a * a))
-    assert result.interaction_sample == pytest.approx(v * result.weight,
-                                                      rel=1e-10)
+    v = batch.w[0, -1] * (pops @ a) - 2 * 0.5 * (pops @ (a * a))
+    assert batch.interaction[0] == pytest.approx(v, rel=1e-10)
 
 
 class TestFieldEnergyEstimator:
     def test_matches_naive_two_sided_reference(self, monkeypatch):
         scenario = qubit_dephasing(omega=1.2, lam=0.3, t_end=0.6, steps=30)
-        path = raw_path(scenario.grid, scenario.params, trajectory_seed(13, 0))
+        w = trajectory_increments(scenario.grid, scenario.params, 13, 0)
         monkeypatch.setattr(propagation, "_checkpoint_stride", lambda steps: 1)
-        got = evolve(scenario, path, record_series=False,
-                     with_field_energy=True).field_energy_sample
+        got = run_path(scenario, w, with_field_energy=True)[0].field_energy[0]
 
         h = scenario.hamiltonian.matrix
         a = scenario.collapse_op.matrix
         dt = scenario.grid.dt
         s = scenario.grid.steps
-        w = path.values
         phi = naive_reduced_states(scenario, w)
         xi = [None] * (s + 1)
         xi[s] = phi[s]
@@ -237,13 +227,11 @@ class TestFieldEnergyEstimator:
 
     def test_checkpoint_stride_does_not_change_the_value(self, monkeypatch):
         scenario = qubit_dephasing(t_end=0.8, steps=64)
-        path = raw_path(scenario.grid, scenario.params, trajectory_seed(14, 0))
+        w = trajectory_increments(scenario.grid, scenario.params, 14, 0)
         # The kernel keeps about sqrt(S) checkpoints by default.
-        sparse = evolve(scenario, path, record_series=False,
-                        with_field_energy=True).field_energy_sample
+        sparse = run_path(scenario, w, with_field_energy=True)[0].field_energy[0]
         monkeypatch.setattr(propagation, "_checkpoint_stride", lambda steps: 1)
-        dense = evolve(scenario, path, record_series=False,
-                       with_field_energy=True).field_energy_sample
+        dense = run_path(scenario, w, with_field_energy=True)[0].field_energy[0]
         assert sparse == pytest.approx(dense, rel=1e-12)
 
 
@@ -262,31 +250,11 @@ def test_grid_and_dense_backends_agree():
         hamiltonian=HermitianOperator(dense_kinetic_hamiltonian(info, params.hbar)),
         collapse_op=HermitianOperator(np.diag(x)),
         psi0=psi0, params=params, grid=grid)
-    path = raw_path(grid, params, trajectory_seed(15, 0))
-    rg = evolve(scenario_grid, path, record_series=True)
-    rd = evolve(scenario_dense, path, record_series=True)
-    assert rg.weight == pytest.approx(rd.weight, rel=1e-10)
-    np.testing.assert_allclose(rg.final_state.amplitudes,
-                               rd.final_state.amplitudes, atol=1e-10)
-    np.testing.assert_allclose(rg.series_expA, rd.series_expA, atol=1e-10)
-    np.testing.assert_allclose(rg.series_expH, rd.series_expH, atol=1e-10)
+    values = trajectory_increments(grid, params, 15, 0)
+    bg, fg = run_path(scenario_grid, values, record_series=True)
+    bd, fd = run_path(scenario_dense, values, record_series=True)
+    assert math.exp(bg.log_red[0]) == pytest.approx(math.exp(bd.log_red[0]), rel=1e-10)
+    np.testing.assert_allclose(fg, fd, atol=1e-10)
+    np.testing.assert_allclose(bg.series_expA, bd.series_expA, atol=1e-10)
+    np.testing.assert_allclose(bg.series_expH, bd.series_expH, atol=1e-10)
 
-
-def test_cooked_mode_requires_a_seed():
-    scenario = two_level_collapse(t_end=0.1, steps=5)
-    with pytest.raises(ValueError, match="seed"):
-        evolve(scenario, None)
-
-
-@pytest.mark.parametrize("steps", [20, 10])
-def test_a_path_from_another_time_grid_is_refused_naming_both(steps):
-    # A path of the right length but another span would run with the
-    # wrong variance for the scenario's dt; one of another length would
-    # fail only inside the kernel.
-    scenario = qubit_dephasing(t_end=1.0, steps=20)
-    other = TimeGrid(5.0, steps)
-    path = raw_path(other, scenario.params, 3)
-    with pytest.raises(ValueError) as exc:
-        evolve(scenario, path)
-    assert repr(other) in str(exc.value)
-    assert repr(scenario.grid) in str(exc.value)
