@@ -8,12 +8,14 @@ run
     a manifest.
 ledger
     Deterministic ledger only; prints the conservation deviation and
-    pass/fail against tolerance.
+    pass/fail against tolerance.  Reads the configs ``run`` reads, and
+    validates their ``ensemble`` section when one is present.
 postulate
     Momentum-window collapse-compatibility analyses; writes a report
     JSON and scan CSVs.
 verify
-    Full acceptance suite at pinned seeds; one line per criterion.
+    Full acceptance suite at pinned seeds; numbers, times and prints
+    one line per criterion.
 
 Configs are single-scenario JSON documents, schema-validated before any
 work starts: a bad config exits with status 2 and the offending field
@@ -37,11 +39,12 @@ from . import __version__
 from .ensemble import run_ensemble
 from .errors import ConfigError, NonHermitianError, NumericalFailure, ZeroNormError
 from .ledger import balance_tolerance, build_ledger, conservation_check
-from .postulate import (MomentumGrid, build_window_state, collapse_residual,
-                        eq1_residual, gaussian_state, make_superposition,
+from .postulate import (CONSERVING_RESIDUAL, VIOLATION_RESIDUAL, MomentumGrid,
+                        build_window_state, collapse_residual, eq1_residual,
+                        gaussian_state, make_superposition,
                         moment_divergence_scan, tail_fit)
-from .reports import (RunManifest, ensemble_report, write_csv, write_json,
-                      write_ensemble_series_csv, write_ledger_csv)
+from .reports import (RunManifest, ensemble_report, sha256_digest, write_csv,
+                      write_json, write_ensemble_series_csv, write_ledger_csv)
 from .scenarios import free_particle_grid, qubit_dephasing, random_dense, two_level_collapse
 from . import acceptance
 
@@ -55,12 +58,18 @@ DYNAMICAL_KINDS = ("two_level", "qubit_dephasing", "free_particle_grid",
 ALL_KINDS = DYNAMICAL_KINDS + ("postulate_analysis",)
 
 
+# The default of a field that has none: a getter given no default
+# requires its field.
+_REQUIRED = object()
+
+
 class _Section:
     """A config sub-object consumed field by field.
 
     Every getter removes the field it reads; :meth:`close` then rejects
     whatever is left, so unknown (usually misspelled) keys fail fast
-    with their full dotted path.
+    with their full dotted path.  A field is required exactly when its
+    getter is given no default.
     """
 
     def __init__(self, data, path: str):
@@ -72,26 +81,25 @@ class _Section:
     def key(self, name: str) -> str:
         return f"{self._path}.{name}" if self._path else name
 
-    def _take(self, name: str, required: bool, default):
+    def _take(self, name: str, default):
+        """Remove field ``name``; return (present, its value or ``default``)."""
         if name in self._data:
-            return self._data.pop(name)
-        if required:
+            return True, self._data.pop(name)
+        if default is _REQUIRED:
             raise ConfigError(self.key(name), "missing required field")
-        return default
+        return False, default
 
-    _MISSING = object()
-
-    def section(self, name: str, required: bool = True):
-        raw = self._take(name, required, self._MISSING)
-        if raw is self._MISSING:
+    def section(self, name: str, default=_REQUIRED):
+        present, raw = self._take(name, default)
+        if not present and raw is None:
             return None
         return _Section(raw, self.key(name))
 
-    def number(self, name: str, *, required: bool = True, default=None,
+    def number(self, name: str, default=_REQUIRED, *,
                positive: bool = False) -> float:
-        raw = self._take(name, required, self._MISSING)
-        if raw is self._MISSING:
-            return default
+        present, raw = self._take(name, default)
+        if not present:
+            return raw
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(self.key(name), "must be a number")
         value = float(raw)
@@ -101,22 +109,20 @@ class _Section:
             raise ConfigError(self.key(name), "must be positive")
         return value
 
-    def integer(self, name: str, *, required: bool = True, default=None,
-                minimum=None) -> int:
-        raw = self._take(name, required, self._MISSING)
-        if raw is self._MISSING:
-            return default
+    def integer(self, name: str, default=_REQUIRED, *, minimum=None) -> int:
+        present, raw = self._take(name, default)
+        if not present:
+            return raw
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(self.key(name), "must be an integer")
         if minimum is not None and raw < minimum:
             raise ConfigError(self.key(name), f"must be >= {minimum}")
         return raw
 
-    def string(self, name: str, *, choices=None, required: bool = True,
-               default=None) -> str:
-        raw = self._take(name, required, self._MISSING)
-        if raw is self._MISSING:
-            return default
+    def string(self, name: str, default=_REQUIRED, *, choices=None) -> str:
+        present, raw = self._take(name, default)
+        if not present:
+            return raw
         if not isinstance(raw, str):
             raise ConfigError(self.key(name), "must be a string")
         if choices is not None and raw not in choices:
@@ -125,7 +131,7 @@ class _Section:
         return raw
 
     def number_pair(self, name: str):
-        raw = self._take(name, True, None)
+        raw = self._take(name, _REQUIRED)[1]
         ok = (isinstance(raw, list) and len(raw) == 2
               and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v in raw))
@@ -134,7 +140,7 @@ class _Section:
         return float(raw[0]), float(raw[1])
 
     def int_list(self, name: str, *, minimum=None):
-        raw = self._take(name, True, None)
+        raw = self._take(name, _REQUIRED)[1]
         ok = (isinstance(raw, list) and raw
               and all(isinstance(v, int) and not isinstance(v, bool) for v in raw))
         if not ok:
@@ -195,14 +201,14 @@ def build_scenario(root: _Section, kind: str):
             weight_upper=weight,
             gap=params.number("gap", positive=True),
             lam=_nonnegative(params, "lam"),
-            relative_phase=params.number("relative_phase", required=False, default=0.0),
-            hbar=params.number("hbar", required=False, default=1.0, positive=True),
+            relative_phase=params.number("relative_phase", default=0.0),
+            hbar=params.number("hbar", default=1.0, positive=True),
             **grid)
     elif kind == "qubit_dephasing":
         scenario = qubit_dephasing(
             omega=params.number("omega", positive=True),
             lam=_nonnegative(params, "lam"),
-            hbar=params.number("hbar", required=False, default=1.0, positive=True),
+            hbar=params.number("hbar", default=1.0, positive=True),
             **grid)
     elif kind == "free_particle_grid":
         n_points = params.integer("n_points", minimum=2)
@@ -213,21 +219,20 @@ def build_scenario(root: _Section, kind: str):
             dx=params.number("dx", positive=True),
             sigma0=params.number("sigma0", positive=True),
             lam=_nonnegative(params, "lam"),
-            mass=params.number("mass", required=False, default=1.0, positive=True),
-            hbar=params.number("hbar", required=False, default=1.0, positive=True),
-            x0=params.number("x0", required=False, default=0.0),
-            p0=params.number("p0", required=False, default=0.0),
-            seam_margin=params.integer("seam_margin", required=False,
-                                       default=10, minimum=1),
+            mass=params.number("mass", default=1.0, positive=True),
+            hbar=params.number("hbar", default=1.0, positive=True),
+            x0=params.number("x0", default=0.0),
+            p0=params.number("p0", default=0.0),
+            seam_margin=params.integer("seam_margin", default=10, minimum=1),
             **grid)
     elif kind == "random_matrix":
         seed = params.integer("seed")
         seeds["scenario_seed"] = seed
         scenario = random_dense(
             seed,
-            dim=params.integer("dim", required=False, default=8, minimum=2),
+            dim=params.integer("dim", default=8, minimum=2),
             lam=_nonnegative(params, "lam"),
-            hbar=params.number("hbar", required=False, default=1.0, positive=True),
+            hbar=params.number("hbar", default=1.0, positive=True),
             **grid)
     else:
         raise ConfigError("kind", f"unknown scenario kind {kind!r}")
@@ -236,30 +241,58 @@ def build_scenario(root: _Section, kind: str):
 
 
 def _prefix(root: _Section, kind: str) -> str:
-    out = root.section("output", required=False)
+    out = root.section("output", None)
     if out is None:
         return kind
-    prefix = out.string("prefix", required=False, default=kind)
+    prefix = out.string("prefix", default=kind)
     out.close()
     return prefix
 
 
-def cmd_run(args) -> int:
-    echo = load_config(args.config)
+def _read_dynamical(path, ensemble_default):
+    """Read and validate a dynamical config in full.
+
+    Returns (echo, kind, prefix, ensemble, scenario, seeds).  The
+    ``ensemble`` section is validated whenever present and returned as
+    (n, mode, master_seed); when absent it is ``ensemble_default``,
+    which is :data:`_REQUIRED` for a subcommand that needs one.
+    """
+    echo = load_config(path)
     root = _Section(echo, "")
     kind = root.string("kind", choices=ALL_KINDS)
     if kind == "postulate_analysis":
         raise ConfigError("kind",
                           "postulate_analysis configs run under the postulate subcommand")
-    root.string("label", required=False, default="")
+    root.string("label", default="")
     prefix = _prefix(root, kind)
-    ens = root.section("ensemble")
-    n = ens.integer("n", minimum=1)
-    mode = ens.string("mode", choices=("raw", "cooked"))
-    master_seed = ens.integer("master_seed")
-    ens.close()
+    ens = root.section("ensemble", ensemble_default)
+    ensemble = None
+    if ens is not None:
+        ensemble = (ens.integer("n", minimum=1),
+                    ens.string("mode", choices=("raw", "cooked")),
+                    ens.integer("master_seed"))
+        ens.close()
     scenario, seeds = build_scenario(root, kind)
     root.close()
+    return echo, kind, prefix, ensemble, scenario, seeds
+
+
+def _write_outputs(out, prefix, echo, seeds, timings, outputs) -> None:
+    """Make the output directory, write each ``(suffix, writer, *data)``
+    of ``outputs`` as ``writer(out/<prefix>_<suffix>, *data)``, then the
+    manifest with their digests."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(config_echo=echo, seeds=seeds, timings=timings)
+    for suffix, writer, *data in outputs:
+        path = writer(out_dir / f"{prefix}_{suffix}", *data)
+        manifest.outputs[path.name] = sha256_digest(path)
+    manifest.write(out_dir / f"{prefix}_manifest.json")
+
+
+def cmd_run(args) -> int:
+    echo, _, prefix, (n, mode, master_seed), scenario, seeds = _read_dynamical(
+        args.config, _REQUIRED)
     seeds["master_seed"] = master_seed
 
     timings = {}
@@ -281,34 +314,16 @@ def cmd_run(args) -> int:
               f"{timings['ledger']:.2f}s")
 
     # The directory is made only once the numerical work has succeeded.
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_echo=echo, code_version=__version__, seeds=seeds,
-                           timings=timings)
-    report = ensemble_report(stats, echo)
-    path = write_json(out_dir / f"{prefix}_ensemble.json", report)
-    manifest.add_output(out_dir, path)
-    path = write_ensemble_series_csv(out_dir / f"{prefix}_series.csv", stats)
-    manifest.add_output(out_dir, path)
-    path = write_ledger_csv(out_dir / f"{prefix}_ledger.csv", ledger)
-    manifest.add_output(out_dir, path)
-    manifest.write(out_dir / f"{prefix}_manifest.json")
-    print(f"wrote {len(manifest.outputs) + 1} files to {out_dir}")
+    outputs = [("ensemble.json", write_json, ensemble_report(stats, echo)),
+               ("series.csv", write_ensemble_series_csv, stats),
+               ("ledger.csv", write_ledger_csv, ledger)]
+    _write_outputs(args.out, prefix, echo, seeds, timings, outputs)
+    print(f"wrote {len(outputs) + 1} files to {Path(args.out)}")
     return EXIT_OK
 
 
 def cmd_ledger(args) -> int:
-    echo = load_config(args.config)
-    root = _Section(echo, "")
-    kind = root.string("kind", choices=ALL_KINDS)
-    if kind == "postulate_analysis":
-        raise ConfigError("kind",
-                          "postulate_analysis configs run under the postulate subcommand")
-    root.string("label", required=False, default="")
-    prefix = _prefix(root, kind)
-    root.section("ensemble", required=False)
-    scenario, seeds = build_scenario(root, kind)
-    root.close()
+    echo, kind, prefix, _, scenario, seeds = _read_dynamical(args.config, None)
 
     timings = {}
     t0 = time.perf_counter()
@@ -330,15 +345,9 @@ def cmd_ledger(args) -> int:
         "final_total": float(ledger.total[-1]),
     }
     # A ledger out of balance is still written, for inspection.
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_echo=echo, code_version=__version__, seeds=seeds,
-                           timings=timings)
-    path = write_ledger_csv(out_dir / f"{prefix}_ledger.csv", ledger)
-    manifest.add_output(out_dir, path)
-    path = write_json(out_dir / f"{prefix}_ledger_summary.json", summary)
-    manifest.add_output(out_dir, path)
-    manifest.write(out_dir / f"{prefix}_manifest.json")
+    _write_outputs(args.out, prefix, echo, seeds, timings,
+                   [("ledger.csv", write_ledger_csv, ledger),
+                    ("ledger_summary.json", write_json, summary)])
     print(f"conservation deviation {deviation:.3e} "
           f"(tolerance {tolerance:.3e}) -> {'pass' if passed else 'FAIL'}")
     if not passed:
@@ -350,15 +359,15 @@ def cmd_ledger(args) -> int:
 def _build_pair(pair: _Section, grid: MomentumGrid):
     """Return (state1, state2, weight1, inputs echo) for a pair spec."""
     kind = pair.string("type", choices=("windows", "gaussians"))
-    weight1 = pair.number("weight1", required=False, default=0.5)
+    weight1 = pair.number("weight1", default=0.5)
     if not 0.0 < weight1 < 1.0:
         raise ConfigError(pair.key("weight1"), "must lie strictly between 0 and 1")
     if kind == "windows":
-        order = pair.integer("edge_order", required=False, default=0, minimum=0)
+        order = pair.integer("edge_order", default=0, minimum=0)
         w1 = pair.number_pair("window1")
         w2 = pair.number_pair("window2")
-        c1 = pair.number("carrier1", required=False, default=0.0)
-        c2 = pair.number("carrier2", required=False, default=0.0)
+        c1 = pair.number("carrier1", default=0.0)
+        c2 = pair.number("carrier2", default=0.0)
         pair.close()
         try:
             s1 = build_window_state(grid, w1[0], w1[1], order, c1)
@@ -383,7 +392,7 @@ def cmd_postulate(args) -> int:
     echo = load_config(args.config)
     root = _Section(echo, "")
     root.string("kind", choices=("postulate_analysis",))
-    root.string("label", required=False, default="")
+    root.string("label", default="")
     prefix = _prefix(root, "postulate")
     params = root.section("params")
 
@@ -400,33 +409,31 @@ def cmd_postulate(args) -> int:
     s1, s2, weight1, inputs = _build_pair(params.section("pair"), grid)
     sup = make_superposition(math.sqrt(weight1), math.sqrt(1.0 - weight1), s1, s2)
 
-    scans = params.section("scans", required=False)
-    if scans is None:
-        scans = _Section({}, "params.scans")
-    count = scans.integer("count", required=False, default=100, minimum=1)
-    b_max = scans.number("b_max", required=False, default=5.0, positive=True)
-    a_max = scans.number("a_max", required=False, default=5.0, positive=True)
-    mass = scans.number("mass", required=False, default=1.0, positive=True)
+    scans = params.section("scans", {})
+    count = scans.integer("count", default=100, minimum=1)
+    b_max = scans.number("b_max", default=5.0, positive=True)
+    a_max = scans.number("a_max", default=5.0, positive=True)
+    mass = scans.number("mass", default=1.0, positive=True)
     scans.close()
 
-    tail_sec = params.section("tail", required=False)
+    tail_sec = params.section("tail", None)
     tail_spec = None
     if tail_sec is not None:
         tail_spec = {"orders": tail_sec.int_list("edge_orders", minimum=0),
                      "window": tail_sec.number_pair("window")}
         tail_sec.close()
 
-    moment_sec = params.section("moment", required=False)
+    moment_sec = params.section("moment", None)
     moment_spec = None
     if moment_sec is not None:
-        order = moment_sec.integer("order", required=False, default=2, minimum=0)
+        order = moment_sec.integer("order", default=2, minimum=0)
         if order % 2 != 0:
             raise ConfigError(moment_sec.key("order"), "must be even")
         moment_spec = {"order": order,
                        "orders": moment_sec.int_list("edge_orders", minimum=0),
                        "window": moment_sec.number_pair("window"),
-                       "doublings": moment_sec.integer("doublings", required=False,
-                                                       default=4, minimum=1)}
+                       "doublings": moment_sec.integer("doublings", default=4,
+                                                       minimum=1)}
         moment_sec.close()
     params.close()
     root.close()
@@ -440,9 +447,9 @@ def cmd_postulate(args) -> int:
     res_e = np.array([collapse_residual(sup, "energy", a, mass=mass)
                       for a in a_values])
     worst = max(res_p.max(), res_e.max())
-    if worst <= 1e-10:
+    if worst <= CONSERVING_RESIDUAL:
         verdict = "conserving but non-localized"
-    elif worst >= 1e-4:
+    elif worst >= VIOLATION_RESIDUAL:
         verdict = "generic violation"
     else:
         verdict = "inconclusive"
@@ -483,36 +490,31 @@ def cmd_postulate(args) -> int:
     timings["analysis"] = time.perf_counter() - t0
 
     # The directory is made only once the numerical work has succeeded.
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_echo=echo, code_version=__version__, seeds={},
-                           timings=timings)
-    path = write_csv(out_dir / f"{prefix}_scan_P.csv", ["b", "residual"],
-                     [b_values, res_p])
-    manifest.add_output(out_dir, path)
-    path = write_csv(out_dir / f"{prefix}_scan_E.csv", ["a", "residual"],
-                     [a_values, res_e])
-    manifest.add_output(out_dir, path)
-    for order, scan in moment_tables.items():
-        path = write_csv(out_dir / f"{prefix}_moment_n{order}.csv",
-                         ["domain", "moment"], [scan.orders, scan.values])
-        manifest.add_output(out_dir, path)
-    path = write_json(out_dir / f"{prefix}_report.json", report)
-    manifest.add_output(out_dir, path)
-    manifest.write(out_dir / f"{prefix}_manifest.json")
+    outputs = [("scan_P.csv", write_csv, ["b", "residual"], [b_values, res_p]),
+               ("scan_E.csv", write_csv, ["a", "residual"], [a_values, res_e])]
+    outputs += [(f"moment_n{order}.csv", write_csv, ["domain", "moment"],
+                 [scan.orders, scan.values])
+                for order, scan in moment_tables.items()]
+    outputs.append(("report.json", write_json, report))
+    _write_outputs(args.out, prefix, echo, {}, timings, outputs)
     print(f"verdict: {verdict} (worst residual {worst:.3e})")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     print(f"acceptance suite, version {__version__}")
-    results = acceptance.run_all(threads=args.threads, report=print)
-    failed = [r for r in results if not r.passed]
-    total = sum(r.seconds for r in results)
+    failed, start = 0, time.perf_counter()
+    for number, (name, runner) in enumerate(acceptance.RUNNERS, 1):
+        t0 = time.perf_counter()
+        passed, detail = runner(args.threads)
+        failed += not passed
+        print(f"{'PASS' if passed else 'FAIL'}  {number:>2}  {name:<28} "
+              f"{time.perf_counter() - t0:7.2f}s  {detail}")
+    count, total = len(acceptance.RUNNERS), time.perf_counter() - start
     if failed:
-        print(f"{len(failed)} of {len(results)} criteria FAILED ({total:.1f}s)")
+        print(f"{failed} of {count} criteria FAILED ({total:.1f}s)")
         return EXIT_FAILED_CHECK
-    print(f"all {len(results)} criteria passed ({total:.1f}s)")
+    print(f"all {count} criteria passed ({total:.1f}s)")
     return EXIT_OK
 
 

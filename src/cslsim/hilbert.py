@@ -95,10 +95,6 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "eigenvectors", _readonly(np.asarray(self.eigenvectors, dtype=np.complex128)))
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:

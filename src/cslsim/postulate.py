@@ -29,6 +29,12 @@ from .tolerances import ALGEBRA
 # statement about them is meaningful.
 ORTHO_TOL = 1e-8
 
+# Verdict thresholds on the worst generating-function residual of a pair:
+# at or below the first the pair conserves both generators to grid
+# precision; at or above the second it violates them generically.
+CONSERVING_RESIDUAL = 1e-10
+VIOLATION_RESIDUAL = 1e-4
+
 # Envelope fit band, as fractions of the half-domain X.  The discrete
 # transform is periodic, so the tail at x also carries the image of the
 # tail at x - 2X; for the slowest admissible falloff (1/x) that image

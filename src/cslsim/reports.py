@@ -17,6 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import __version__
+
 # An ensemble report lists its outcomes one by one up to this many, and
 # beyond that only their count.
 MAX_LISTED_OUTCOMES = 64
@@ -137,23 +139,19 @@ class RunManifest:
 
     The scientific outputs referenced here are byte-stable for a fixed
     config and seed; the manifest itself carries wall-clock timings and
-    is therefore not.
+    is therefore not.  ``outputs`` maps each output's file name to its
+    sha256 digest; ``code_version`` is the package's ``__version__``.
     """
 
     config_echo: dict
-    code_version: str
     seeds: dict
-    timings: dict = field(default_factory=dict)
+    timings: dict
     outputs: dict = field(default_factory=dict)
-
-    def add_output(self, base_dir: Path, path: Path) -> None:
-        rel = str(Path(path).relative_to(base_dir))
-        self.outputs[rel] = sha256_digest(path)
 
     def write(self, path: Path) -> Path:
         doc = {
             "config": jsonable(self.config_echo),
-            "code_version": self.code_version,
+            "code_version": __version__,
             "seeds": jsonable(self.seeds),
             "timings_seconds": {k: round(float(v), 6)
                                 for k, v in self.timings.items()},

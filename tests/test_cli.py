@@ -134,6 +134,17 @@ class TestConfigRejection:
         doc["ensemble"]["mode"] = "grilled"
         self.reject(tmp_path, capsys, doc, "must be one of")
 
+    @pytest.mark.parametrize("ensemble, needle", [
+        ({"n": "many", "mode": "cooked", "master_seed": 42}, "ensemble.n"),
+        ({"n": 10, "mode": "cooked", "master_seed": 42, "mdoe": "raw"},
+         "ensemble.mdoe"),
+    ])
+    def test_ledger_validates_an_ensemble_section(self, tmp_path, capsys,
+                                                  ensemble, needle):
+        doc = two_level_config()
+        doc["ensemble"] = ensemble
+        self.reject(tmp_path, capsys, doc, needle, command="ledger")
+
     def test_random_matrix_requires_a_seed(self, tmp_path, capsys):
         doc = {
             "kind": "random_matrix",
