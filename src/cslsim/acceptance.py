@@ -134,15 +134,10 @@ def criterion_drift_law(threads: int) -> tuple[bool, str]:
     return passed, detail
 
 
-@lru_cache(maxsize=1)
-def _free_particle_ledger():
-    scenario = free_particle_grid()
-    return scenario, build_ledger(scenario)
-
-
 def criterion_free_particle(threads: int) -> tuple[bool, str]:
     """Kinetic energy of a free packet heats at lam*hbar^2/2m."""
-    scenario, ledger = _free_particle_ledger()
+    scenario = free_particle_grid()
+    ledger = build_ledger(scenario)
     p = scenario.params
     expected = p.lam * p.hbar**2 / (2.0 * scenario.grid_info.mass)
     slope = _fit_slope(ledger.times, ledger.system)

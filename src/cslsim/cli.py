@@ -525,29 +525,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config):
-        if needs_config:
+    # Each subcommand takes only the flags its command reads.
+    def command(name, func, summary, config=True, threads=False, verbose=False):
+        p = sub.add_parser(name, help=summary)
+        if config:
             p.add_argument("--config", required=True, help="scenario config JSON")
             p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for ensemble fan-out")
-        p.add_argument("--verbose", action="store_true")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for ensemble fan-out")
+        if verbose:
+            p.add_argument("--verbose", action="store_true")
+        p.set_defaults(func=func)
 
-    p_run = sub.add_parser("run", help="Monte Carlo ensemble plus ledger")
-    common(p_run, True)
-    p_run.set_defaults(func=cmd_run)
-
-    p_ledger = sub.add_parser("ledger", help="deterministic energy ledger")
-    common(p_ledger, True)
-    p_ledger.set_defaults(func=cmd_ledger)
-
-    p_post = sub.add_parser("postulate", help="momentum-window analyses")
-    common(p_post, True)
-    p_post.set_defaults(func=cmd_postulate)
-
-    p_verify = sub.add_parser("verify", help="run the acceptance suite")
-    common(p_verify, False)
-    p_verify.set_defaults(func=cmd_verify)
+    command("run", cmd_run, "Monte Carlo ensemble plus ledger", threads=True,
+            verbose=True)
+    command("ledger", cmd_ledger, "deterministic energy ledger")
+    command("postulate", cmd_postulate, "momentum-window analyses")
+    command("verify", cmd_verify, "run the acceptance suite", config=False, threads=True)
     return parser
 
 

@@ -33,11 +33,12 @@ Probability at the periodic seam fails a run and is named.
 
 Determinism: an ensemble is split into chunks whose size depends on the
 scenario dimension alone (at most 2^16 amplitudes and 4096 trajectories,
-:func:`_chunk_size`), each chunk is propagated as one batch, and partial
-sums are combined in chunk order with pairwise summation.  Worker
-threads only change who computes a chunk, never the arithmetic, so
-results are identical for any thread count.  Kept final states are
-written by each chunk into its own rows of one preallocated array.
+:func:`_chunk_size`), and each chunk is propagated as one batch that
+writes its results per trajectory into its own rows of preallocated
+arrays (and its series sums into its own slot).  Each statistic is then
+reduced once over the rows in index order.  Worker threads only change
+who computes a chunk, never the arithmetic, so results are identical
+for any thread count.
 """
 
 from __future__ import annotations
@@ -164,72 +165,51 @@ class EnsembleStats:
         return float(self.outcome_frequencies[idx]), float(self.outcome_errors[idx])
 
 
-def _run_chunk(backend, scenario, indices, mode, master_seed, group_starts,
-               record_series, with_field_energy, kept):
-    """Propagate one chunk and return its partial sums.  ``group_starts``
-    holds the first coupling index of each outcome group.  ``kept`` is
-    None or this chunk's rows (states, weights, survived) of the run's
-    kept-state arrays, which it fills unless no row survived (the survived
-    flags start False)."""
+def _mean_se(total: float, total2: float, n: int) -> tuple:
+    """Mean and standard error of ``n`` samples from their sum and sum of
+    squares."""
+    mean = total / n
+    return mean, math.sqrt(max(total2 / n - mean**2, 0.0) / n)
+
+
+def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, rows,
+               series):
+    """Propagate trajectories ``lo`` .. ``hi - 1`` and write their results
+    into rows ``lo:hi`` of the run's per-trajectory arrays ``rows``
+    (survived, weight, outcome group, interaction term, field-energy term
+    or None, kept state or None) and, when series are recorded, the chunk
+    sums of the weight wt at each time, of wt <A> and of wt <H> into its
+    slot ``series``.
+    ``group_starts`` holds the first coupling index of each outcome group.
+    A failed row gets weight 0 and interaction and field-energy terms 0."""
+    ok, weights, group, v, f, states = (None if a is None else a[lo:hi] for a in rows)
     grid = scenario.grid
     params = scenario.params
-    s = grid.steps
-    b = indices.size
-    draws = block_increments(grid, params, master_seed, indices)
+    draws = block_increments(grid, params, master_seed, np.arange(lo, hi))
     batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
-                         mode=mode, record_series=record_series,
-                         with_field_energy=with_field_energy)
+                         mode=mode, record_series=series is not None,
+                         with_field_energy=f is not None)
 
-    ok = ~batch.failed
-    n_ok = int(ok.sum())
-    out = {"n_ok": n_ok, "n_failed": int(b - n_ok)}
-    if n_ok == 0:
-        return out
+    ok[...] = ~batch.failed
+    weights[...] = np.where(ok, np.exp(batch.log_red) if mode == "raw" else 1.0, 0.0)
+    pops, lab = backend.read_out(batch.final_internal)
+    group[...] = np.argmax(np.add.reduceat(pops, group_starts, axis=1), axis=1)
+    v[...] = np.where(ok, batch.interaction * weights if mode == "raw"
+                      else batch.interaction, 0.0)
+    if f is not None:
+        f[...] = np.where(ok, batch.field_energy, 0.0)
+    if states is not None:
+        states[...] = lab
 
-    if mode == "raw":
-        weights = np.exp(batch.log_red)
-    else:
-        weights = np.ones(b)
-    weights = np.where(ok, weights, 0.0)
-
-    pops, states = backend.read_out(batch.final_internal)
-    assign = np.argmax(np.add.reduceat(pops, group_starts, axis=1), axis=1)
-
-    k = group_starts.size
-    out["sum_w"] = weights.sum()
-    out["sum_w2"] = (weights**2).sum()
-    out["count_w"] = np.bincount(assign, weights=weights, minlength=k)
-    out["count_w2"] = np.bincount(assign, weights=weights**2, minlength=k)
-
-    v = batch.interaction
-    v = np.where(ok, v * weights if mode == "raw" else v, 0.0)
-    out["sum_v"] = v.sum()
-    out["sum_v2"] = (v**2).sum()
-
-    if with_field_energy:
-        f = np.where(ok, batch.field_energy, 0.0)
-        out["sum_f"] = f.sum()
-        out["sum_f2"] = (f**2).sum()
-
-    if record_series:
+    if series is not None:
         # The series are held step-major, (S+1, B) in memory, so each
         # time's weighted sum over trajectories is one dot product along a
         # contiguous row.
-        if mode == "raw":
-            wt = np.where(ok, np.exp(batch.log_red_series.T), 0.0)
-            out["sum_wt"] = wt.sum(axis=1)
-        else:
-            wt = ok.astype(float)
-            out["sum_wt"] = np.full(s + 1, float(n_ok))
-        out["sum_wA"] = np.vecdot(wt, batch.series_expA.T)
-        out["sum_wH"] = np.vecdot(wt, batch.series_expH.T)
-
-    if kept is not None:
-        kept_states, kept_weights, kept_ok = kept
-        kept_states[...] = states
-        kept_weights[...] = weights
-        kept_ok[...] = ok
-    return out
+        wt = (np.where(ok, np.exp(batch.log_red_series.T), 0.0) if mode == "raw"
+              else ok.astype(float))
+        series[0] = wt.sum(axis=-1)
+        series[1] = np.vecdot(wt, batch.series_expA.T)
+        series[2] = np.vecdot(wt, batch.series_expH.T)
 
 
 def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
@@ -275,79 +255,66 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
     groups, values = eigenvalue_groups(backend.coupling_values)
     chunk = _chunk_size(scenario.dim)
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    # Each chunk writes its own disjoint rows, so workers need no lock.
-    kept = None
-    if keep_final_states:
-        kept = (np.empty((n, scenario.dim), dtype=np.complex128), np.empty(n),
-                np.zeros(n, dtype=bool))
+    # One row per trajectory and one series slot per chunk; each chunk
+    # writes its own rows and slot, so workers need no lock.
+    rows = (np.empty(n, dtype=bool), np.empty(n), np.empty(n, dtype=np.intp),
+            np.empty(n), np.empty(n) if with_field_energy else None,
+            np.empty((n, scenario.dim), dtype=np.complex128)
+            if keep_final_states else None)
+    series = (np.empty((len(bounds), 3, scenario.grid.steps + 1))
+              if record_series else None)
 
-    def work(span):
-        lo, hi = span
-        return _run_chunk(backend, scenario, np.arange(lo, hi), mode, master_seed,
-                          groups[:, 0], record_series, with_field_energy,
-                          None if kept is None else tuple(a[lo:hi] for a in kept))
+    def work(c):
+        _run_chunk(backend, scenario, *bounds[c], mode, master_seed, groups[:, 0],
+                   rows, None if series is None else series[c])
 
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, bounds))
+            list(pool.map(work, range(len(bounds))))
     else:
-        partials = [work(span) for span in bounds]
+        for c in range(len(bounds)):
+            work(c)
 
-    n_failed = sum(p["n_failed"] for p in partials)
-    n_success = sum(p["n_ok"] for p in partials)
+    ok, weights, group, v, f, states = rows
+    n_success = int(ok.sum())
+    n_failed = n - n_success
     if n_success < MIN_SUCCESS_FRACTION * n:
         raise NumericalFailure(
             f"only {n_success} of {n} trajectories survived "
             f"(minimum fraction {MIN_SUCCESS_FRACTION})")
-    live = [p for p in partials if p["n_ok"] > 0]
 
-    def total(key):
-        return np.sum(np.stack([p[key] for p in live], axis=0), axis=0)
-
-    sum_w = float(total("sum_w"))
-    sum_w2 = float(total("sum_w2"))
+    sum_w = float(weights.sum())
+    sum_w2 = float((weights**2).sum())
     ess = sum_w**2 / sum_w2 if sum_w2 > 0.0 else 0.0
     if mode == "raw" and ess < ESS_FLOOR:
         raise LowEffectiveSampleError(ess, ESS_FLOOR, n)
 
-    count_w = total("count_w")
-    count_w2 = total("count_w2")
+    count_w = np.bincount(group, weights=weights, minlength=values.size)
+    count_w2 = np.bincount(group, weights=weights**2, minlength=values.size)
     freqs = count_w / sum_w
     # Delta-method error of the ratio estimator; reduces to the binomial
     # standard error when all weights are 1.
     err = np.sqrt(np.maximum(count_w2 * (1 - freqs) ** 2
                              + (sum_w2 - count_w2) * freqs**2, 0.0)) / sum_w
 
-    mean_weight = sum_w / n_success
-    var_w = max(sum_w2 / n_success - mean_weight**2, 0.0)
-    mean_weight_se = math.sqrt(var_w / n_success)
-
-    sum_v = float(total("sum_v"))
-    sum_v2 = float(total("sum_v2"))
-    v_mean = sum_v / n_success
-    v_var = max(sum_v2 / n_success - v_mean**2, 0.0)
-    v_se = math.sqrt(v_var / n_success)
-
+    mean_weight, mean_weight_se = _mean_se(sum_w, sum_w2, n_success)
+    v_mean, v_se = _mean_se(float(v.sum()), float((v**2).sum()), n_success)
     fe_mean = fe_se = None
     if with_field_energy:
-        sum_f = float(total("sum_f"))
-        sum_f2 = float(total("sum_f2"))
-        fe_mean = sum_f / n_success
-        fe_var = max(sum_f2 / n_success - fe_mean**2, 0.0)
-        fe_se = math.sqrt(fe_var / n_success)
+        fe_mean, fe_se = _mean_se(float(f.sum()), float((f**2).sum()), n_success)
 
     times = mean_a_series = mean_h_series = None
     if record_series:
         times = scenario.grid.times
-        sum_wt = total("sum_wt")
-        mean_a_series = total("sum_wA") / sum_wt
-        mean_h_series = total("sum_wH") / sum_wt
+        sum_wt, sum_wa, sum_wh = series.sum(axis=0)
+        mean_a_series = sum_wa / sum_wt
+        mean_h_series = sum_wh / sum_wt
 
     final_states = final_weights = None
     if keep_final_states:
-        final_states, final_weights, ok = kept
+        final_states, final_weights = states, weights
         if n_failed:
-            final_states, final_weights = final_states[ok], final_weights[ok]
+            final_states, final_weights = states[ok], weights[ok]
 
     return EnsembleStats(
         n_requested=n, n_success=n_success, n_failed=n_failed, mode=mode,

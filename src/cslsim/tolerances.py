@@ -1,18 +1,25 @@
 """Global tolerance ladder.
 
-Every numerical check in the package draws its tolerance from this ladder
-instead of inventing a local constant.  The three rungs correspond to the
-three kinds of deterministic statements the code makes (Monte Carlo
-checks state their bands in standard errors where they are made):
+The three rungs are the shared tolerances of the three kinds of
+deterministic statements the code makes:
 
 * construction-time identities (hermiticity, normalization): ``CONSTRUCTION``
 * algebraic identities between exactly representable objects: ``ALGEBRA``
 * deterministic quadrature / integration results: ``QUADRATURE``
 
+A tolerance that is the contract of one module lives there, next to its
+check: ``ensemble.ESS_FLOOR`` (weighted statistics),
+``ensemble.DENSE_HALVING_TOL`` and ``ensemble.GRID_HALVING_TOL`` (the
+deterministic integrators' accuracy), ``postulate.ORTHO_TOL``
+(orthogonality of constructed pairs) and ``hilbert.DEGENERACY_RTOL``
+(grouping of outcome eigenvalues).  Monte Carlo checks state their bands
+in standard errors where they are made.
+
 ``SEAM_MASS`` is not a rung but a diagnosis threshold on the probability
-within ``seam_margin`` points of the periodic grid's wrap-around edge:
-above it a failed grid halving check is blamed on the seam, not the
-step, and the closed-form grid channels refuse the run.
+within ``seam_margin`` points of the periodic grid's wrap-around edge.
+The grid split-step refuses a run whose finer run measured more than it,
+after any halving comparison, passed or not; the closed-form grid
+channels refuse a run whose estimated seam mass exceeds it.
 """
 
 CONSTRUCTION = 1e-12

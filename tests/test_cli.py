@@ -196,6 +196,17 @@ class TestConfigRejection:
         assert code == EXIT_CONFIG
         assert "--threads" in stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["postulate", "--config", "c.json", "--threads", "2"],
+        ["ledger", "--config", "c.json", "--verbose"],
+        ["verify", "--verbose"],
+    ], ids=["postulate-threads", "ledger-verbose", "verify-verbose"])
+    def test_a_flag_its_command_does_not_read_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

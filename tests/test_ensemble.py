@@ -18,7 +18,7 @@ from cslsim import ensemble
 from cslsim.ensemble import (DensityMatrix, _grid_channels_once, grid_energy_channels,
                              lindblad_propagate, run_ensemble)
 from cslsim.errors import LowEffectiveSampleError, NumericalFailure
-from cslsim.hilbert import HermitianOperator, expm
+from cslsim.hilbert import HermitianOperator, eigenvalue_groups, expm
 from cslsim.noise import block_increments
 from cslsim.propagation import evolve_batch, make_backend
 from cslsim.scenarios import (PAULI_X, free_particle_grid, qubit_dephasing,
@@ -350,13 +350,14 @@ class TestEnsembleStatistics:
 
 
 def spy_chunks(monkeypatch):
-    """Record the indices and the kept-state rows each chunk is given."""
+    """Record the trajectory range (lo, hi) and the per-trajectory arrays
+    each chunk is given."""
     seen = []
     real = ensemble._run_chunk
 
-    def spy(backend, scenario, indices, *args):
-        seen.append((indices, args[-1]))
-        return real(backend, scenario, indices, *args)
+    def spy(backend, scenario, lo, hi, *args):
+        seen.append((lo, hi, args[-2]))
+        return real(backend, scenario, lo, hi, *args)
 
     monkeypatch.setattr(ensemble, "_run_chunk", spy)
     return seen
@@ -395,7 +396,7 @@ class TestChunksAndKeptStates:
         scenario = free_particle_grid(n_points=1 << 17, t_end=0.01, steps=2)
         seen = spy_chunks(monkeypatch)
         stats = run_ensemble(scenario, 2, "cooked", 4, keep_final_states=True)
-        assert [indices.tolist() for indices, _ in seen] == [[0], [1]]
+        assert [(lo, hi) for lo, hi, _ in seen] == [(0, 1), (1, 2)]
         assert stats.n_success == 2
         assert stats.final_states.shape == (2, 1 << 17)
 
@@ -409,21 +410,40 @@ class TestChunksAndKeptStates:
         failed = np.r_[5, 96:128, 200, 399]
         grid, params = scenario.grid, scenario.params
         backend = make_backend(scenario, grid.dt)
-        want_s, want_w = [], []
+        groups, values = eigenvalue_groups(backend.coupling_values)
+        want_s, want_w, want_g, want_v = [], [], [], []
         for lo in range(0, n, chunk):
             indices = np.arange(lo, min(lo + chunk, n))
             batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
                                  block_increments(grid, params, 3, indices), mode="raw")
             keep = ~np.isin(indices, failed)
-            want_s.append(backend.read_out(batch.final_internal)[1][keep])
+            pops, states = backend.read_out(batch.final_internal)
+            want_s.append(states[keep])
             want_w.append(np.exp(batch.log_red)[keep])
+            want_g.append(np.argmax(np.add.reduceat(pops, groups[:, 0], axis=1),
+                                    axis=1)[keep])
+            want_v.append(batch.interaction[keep])
 
         fail_rows(monkeypatch, failed)
         stats = run_ensemble(scenario, n, "raw", 3, keep_final_states=True,
                              threads=threads)
-        assert (stats.n_success, stats.n_failed) == (n - failed.size, failed.size)
+        n_ok = n - failed.size
+        assert (stats.n_success, stats.n_failed) == (n_ok, failed.size)
         assert np.array_equal(stats.final_states, np.concatenate(want_s))
-        assert np.array_equal(stats.final_weights, np.concatenate(want_w))
+        w = np.concatenate(want_w)
+        assert np.array_equal(stats.final_weights, w)
+        # The statistics are those of the survivors alone; the run sums
+        # the failed rows' zeros too, so they agree to rounding.
+        assert stats.effective_sample_size == pytest.approx(
+            w.sum() ** 2 / (w**2).sum(), rel=1e-12)
+        assert stats.mean_weight == pytest.approx(w.sum() / n_ok, rel=1e-12)
+        freqs = np.bincount(np.concatenate(want_g), weights=w,
+                            minlength=values.size) / w.sum()
+        np.testing.assert_allclose(stats.outcome_frequencies, freqs, rtol=1e-12,
+                                   atol=0.0)
+        v = np.concatenate(want_v) * w
+        assert stats.interaction_mean == pytest.approx(
+            v.sum() / n_ok, rel=0.0, abs=1e-12 * np.abs(v).mean())
 
     def test_a_run_without_failure_returns_the_rows_its_chunks_wrote(self, monkeypatch):
         scenario = free_particle_grid(**self.GRID)
@@ -431,10 +451,10 @@ class TestChunksAndKeptStates:
         stats = run_ensemble(scenario, 100, "cooked", 3, keep_final_states=True,
                              threads=2)
         assert stats.n_failed == 0 and len(seen) == 4
-        for indices, (states, weights, _) in seen:
-            assert np.shares_memory(states, stats.final_states)
-            assert np.shares_memory(weights, stats.final_weights)
-            assert np.array_equal(states, stats.final_states[indices])
+        for lo, hi, (_, weights, _, _, _, states) in seen:
+            assert np.shares_memory(states[lo:hi], stats.final_states)
+            assert np.shares_memory(weights[lo:hi], stats.final_weights)
+            assert np.array_equal(states[lo:hi], stats.final_states[lo:hi])
 
     def test_workers_fill_their_own_rows_under_frequent_switches(self):
         # More workers than cores, switching threads every microsecond: a
