@@ -223,10 +223,9 @@ def build_scenario(root: _Section, kind: str):
             hbar=params.number("hbar", default=1.0, positive=True),
             x0=params.number("x0", default=0.0),
             p0=params.number("p0", default=0.0),
-            seam_margin=params.integer("seam_margin", default=10, minimum=1),
             **grid)
     elif kind == "random_matrix":
-        seed = params.integer("seed")
+        seed = params.integer("seed", minimum=0)
         seeds["scenario_seed"] = seed
         scenario = random_dense(
             seed,
@@ -270,7 +269,7 @@ def _read_dynamical(path, ensemble_default):
     if ens is not None:
         ensemble = (ens.integer("n", minimum=1),
                     ens.string("mode", choices=("raw", "cooked")),
-                    ens.integer("master_seed"))
+                    ens.integer("master_seed", minimum=0))
         ens.close()
     scenario, seeds = build_scenario(root, kind)
     root.close()
@@ -357,7 +356,7 @@ def cmd_ledger(args) -> int:
 
 
 def _build_pair(pair: _Section, grid: MomentumGrid):
-    """Return (state1, state2, weight1, inputs echo) for a pair spec."""
+    """Return (superposition, inputs echo) for a pair spec."""
     kind = pair.string("type", choices=("windows", "gaussians"))
     weight1 = pair.number("weight1", default=0.5)
     if not 0.0 < weight1 < 1.0:
@@ -368,24 +367,35 @@ def _build_pair(pair: _Section, grid: MomentumGrid):
         w2 = pair.number_pair("window2")
         c1 = pair.number("carrier1", default=0.0)
         c2 = pair.number("carrier2", default=0.0)
-        pair.close()
-        try:
-            s1 = build_window_state(grid, w1[0], w1[1], order, c1)
-            s2 = build_window_state(grid, w2[0], w2[1], order, c2)
-        except ValueError as exc:
-            raise ConfigError("params.pair", str(exc))
         inputs = {"type": kind, "edge_order": order, "window1": list(w1),
                   "window2": list(w2)}
     else:
         sigma = pair.number("sigma", positive=True)
         x1 = pair.number("center1")
         x2 = pair.number("center2")
-        pair.close()
-        s1 = gaussian_state(grid, sigma, x0=x1)
-        s2 = gaussian_state(grid, sigma, x0=x2)
         inputs = {"type": kind, "sigma": sigma, "center1": x1, "center2": x2}
+    pair.close()
+    try:
+        if kind == "windows":
+            s1 = build_window_state(grid, w1[0], w1[1], order, c1)
+            s2 = build_window_state(grid, w2[0], w2[1], order, c2)
+        else:
+            s1 = gaussian_state(grid, sigma, x0=x1)
+            s2 = gaussian_state(grid, sigma, x0=x2)
+        sup = make_superposition(math.sqrt(weight1), math.sqrt(1.0 - weight1), s1, s2)
+    except ValueError as exc:
+        raise ConfigError("params.pair", str(exc))
     inputs["weight1"] = weight1
-    return s1, s2, weight1, inputs
+    return sup, inputs
+
+
+def _window(sec: _Section, grid: MomentumGrid):
+    """The momentum window ``sec.window``, which must lie inside the grid."""
+    lo, hi = sec.number_pair("window")
+    if not grid.p_min < lo < hi < grid.p_max:
+        raise ConfigError(sec.key("window"), f"[{lo}, {hi}] must be an "
+                          f"increasing pair inside ({grid.p_min}, {grid.p_max})")
+    return lo, hi
 
 
 def cmd_postulate(args) -> int:
@@ -406,8 +416,7 @@ def cmd_postulate(args) -> int:
     except ValueError as exc:
         raise ConfigError("params.grid", str(exc))
 
-    s1, s2, weight1, inputs = _build_pair(params.section("pair"), grid)
-    sup = make_superposition(math.sqrt(weight1), math.sqrt(1.0 - weight1), s1, s2)
+    sup, inputs = _build_pair(params.section("pair"), grid)
 
     scans = params.section("scans", {})
     count = scans.integer("count", default=100, minimum=1)
@@ -420,7 +429,7 @@ def cmd_postulate(args) -> int:
     tail_spec = None
     if tail_sec is not None:
         tail_spec = {"orders": tail_sec.int_list("edge_orders", minimum=0),
-                     "window": tail_sec.number_pair("window")}
+                     "window": _window(tail_sec, grid)}
         tail_sec.close()
 
     moment_sec = params.section("moment", None)
@@ -431,7 +440,7 @@ def cmd_postulate(args) -> int:
             raise ConfigError(moment_sec.key("order"), "must be even")
         moment_spec = {"order": order,
                        "orders": moment_sec.int_list("edge_orders", minimum=0),
-                       "window": moment_sec.number_pair("window"),
+                       "window": _window(moment_sec, grid),
                        "doublings": moment_sec.integer("doublings", default=4,
                                                        minimum=1)}
         moment_sec.close()
@@ -493,7 +502,7 @@ def cmd_postulate(args) -> int:
     outputs = [("scan_P.csv", write_csv, ["b", "residual"], [b_values, res_p]),
                ("scan_E.csv", write_csv, ["a", "residual"], [a_values, res_e])]
     outputs += [(f"moment_n{order}.csv", write_csv, ["domain", "moment"],
-                 [scan.orders, scan.values])
+                 [scan.domains, scan.values])
                 for order, scan in moment_tables.items()]
     outputs.append(("report.json", write_json, report))
     _write_outputs(args.out, prefix, echo, {}, timings, outputs)

@@ -54,7 +54,7 @@ from .errors import LowEffectiveSampleError, NumericalFailure
 from .hilbert import StateVector, double_commutator, eigenvalue_groups, expm
 from .noise import block_increments
 from .propagation import evolve_batch, make_backend
-from .tolerances import ALGEBRA, SEAM_MASS
+from .tolerances import ALGEBRA, SEAM_MARGIN, SEAM_MASS
 from .trajectory import Scenario
 
 # Weighted statistics are refused below this effective sample size.
@@ -490,7 +490,6 @@ def grid_energy_channels(scenario: Scenario) -> LindbladSeries:
     """
     info = scenario.grid_info
     params = scenario.params
-    n, margin = info.n_points, info.seam_margin
     times = np.linspace(0.0, scenario.grid.t_end, _GRID_SAMPLES + 1)
     e = info.kinetic_energies(params.hbar)
     spectrum = np.fft.fft(scenario.psi0.amplitudes)
@@ -507,8 +506,8 @@ def grid_energy_channels(scenario: Scenario) -> LindbladSeries:
     var = params.lam * params.hbar**2 * times**3 / (3.0 * info.mass**2)
     density = np.fft.ifft(np.fft.fft(np.abs(free) ** 2)
                           * np.exp(-0.5 * np.outer(var, k * k))).real
-    seam = float((density[:, :margin].sum(axis=1)
-                  + density[:, n - margin:].sum(axis=1)).max())
+    seam = float((density[:, :SEAM_MARGIN].sum(axis=1)
+                  + density[:, -SEAM_MARGIN:].sum(axis=1)).max())
     if seam > SEAM_MASS:
         raise NumericalFailure(
             f"grid evolution not trusted: probability mass {seam:.3e} reached "
@@ -584,7 +583,7 @@ def _grid_channels_once(scenario: Scenario, steps: int):
     momentum amplitudes phi as phi_p conj(phi_(p - kappa)).  The seam
     mass is a fixed linear form of column d = 0, whose inverse transform
     is the diagonal of rho.  Returns (seam_mass_max, rho): the largest
-    probability within ``seam_margin`` points of the periodic seam after
+    probability within ``SEAM_MARGIN`` points of the periodic seam after
     any step, and the final rho.
     """
     info = scenario.grid_info
@@ -598,7 +597,7 @@ def _grid_channels_once(scenario: Scenario, steps: int):
     collapse = np.exp(-0.5 * params.lam * dt * _ring_distance2(info))
 
     edge = np.zeros(n)
-    edge[:info.seam_margin] = edge[n - info.seam_margin:] = 1.0
+    edge[:SEAM_MARGIN] = edge[n - SEAM_MARGIN:] = 1.0
     # sum_j edge[j] ifft(Q[:, 0])[j] = sum_kappa f[kappa] Q[kappa, 0] with
     # f = ifft(edge); the mass is real and Q[N - kappa, 0] = conj(Q[kappa, 0]),
     # so f[N - kappa] folds onto row kappa conjugated.

@@ -8,11 +8,12 @@ double commutator, and ``expm``, the exponential of a general
 (non-normal, possibly defective) matrix such as a Lindblad generator,
 by Pade scaling and squaring.
 
-Determinism contract: the eigendecomposition orders eigenvalues
-ascending and fixes each eigenvector's global phase by making its first
-significant component real and positive.  Repeated calls on the same
-matrix therefore return bit-identical results, which the reproducibility
-guarantees of the ensemble layer rely on.
+Determinism contract: the eigendecomposition is ``numpy.linalg.eigh``'s
+output, eigenvalues ascending and column j of the eigenvectors belonging
+to eigenvalue j, computed once per operator and cached.  Every consumer
+forms products in which an eigenvector's phase cancels, and all workers
+of an ensemble read the one cached spectrum, so reruns and thread counts
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ EXP_LIMIT = 700.0
 # Eigenvalues closer than this (relative to the spectral span) are treated
 # as one eigenspace when classifying collapse outcomes.
 DEGENERACY_RTOL = 1e-9
-
-# Components smaller than this (relative to the largest one) are not used
-# for phase fixing; their angle is numerical noise.
-_PHASE_FLOOR = 1e-8
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -84,8 +81,9 @@ class Spectrum:
     """Eigendecomposition of a Hermitian operator.
 
     ``eigenvalues`` are real and ascending; column ``j`` of
-    ``eigenvectors`` belongs to ``eigenvalues[j]`` and has its first
-    significant component real and positive.
+    ``eigenvectors`` belongs to ``eigenvalues[j]``.  Both are the output
+    of ``numpy.linalg.eigh``, computed once per operator and cached
+    (:meth:`HermitianOperator.spectrum`); no eigenvector phase is fixed.
     """
 
     eigenvalues: np.ndarray
@@ -137,33 +135,10 @@ class HermitianOperator:
         return float(w[-1] - w[0])
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive."""
-    v = np.array(vectors)
-    mags = np.abs(v)
-    for j in range(v.shape[1]):
-        col = mags[:, j]
-        idx = np.argmax(col > _PHASE_FLOOR * col.max())
-        pivot = v[idx, j]
-        if pivot != 0:
-            v[:, j] *= np.conj(pivot) / abs(pivot)
-    return v
-
-
 def eigendecompose(op: HermitianOperator) -> Spectrum:
-    """Eigendecomposition with the deterministic ordering/phase contract.
-
-    Parameters
-    ----------
-    op : HermitianOperator
-
-    Returns
-    -------
-    Spectrum
-        Ascending eigenvalues; orthonormal eigenvectors with fixed phases.
-    """
-    w, v = np.linalg.eigh(op.matrix)
-    return Spectrum(w, _fix_phases(v))
+    """Ascending eigenvalues and orthonormal eigenvectors of ``op``, as
+    ``numpy.linalg.eigh`` returns them."""
+    return Spectrum(*np.linalg.eigh(op.matrix))
 
 
 # For the Pade degrees m = 3, 5, 7, 9: the 1-norm bound theta_m below which

@@ -348,7 +348,7 @@ def tail_exponent(phi: MomentumState) -> float:
 class MomentScan:
     """Moment values under domain doubling and the resulting verdict."""
 
-    orders: np.ndarray          # domain sizes L_j
+    domains: np.ndarray         # domain sizes L_j
     values: np.ndarray          # <x^k> on each domain
     ratios: np.ndarray
     verdict: str                # "divergent" | "convergent" | "undecided"
@@ -384,5 +384,5 @@ def moment_divergence_scan(builder: Callable[[MomentumGrid], MomentumState],
         verdict = "divergent"
     else:
         verdict = "undecided"
-    return MomentScan(orders=sizes, values=values, ratios=ratios, verdict=verdict)
+    return MomentScan(domains=sizes, values=values, ratios=ratios, verdict=verdict)
 

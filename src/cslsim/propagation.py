@@ -75,15 +75,12 @@ class GridInfo:
     """Periodic position grid for a free particle coupled through position.
 
     The kinetic energy is diagonal in the discrete Fourier basis, the
-    coupling (position) is diagonal on the grid.  ``seam_margin`` grid
-    points next to the wrap-around edge define the region that physical
-    support must avoid for the periodic representation to be trusted.
+    coupling (position) is diagonal on the grid.
     """
 
     n_points: int
     dx: float
     mass: float = 1.0
-    seam_margin: int = 10
 
     def __post_init__(self):
         if self.n_points < 2 or (self.n_points & (self.n_points - 1)) != 0:

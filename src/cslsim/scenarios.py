@@ -66,15 +66,14 @@ def free_particle_grid(*, n_points: int = 1024, dx: float = 0.25,
                        sigma0: float = 4.0, lam: float = 0.002,
                        t_end: float = 8.0, steps: int = 256,
                        mass: float = 1.0, hbar: float = 1.0,
-                       x0: float = 0.0, p0: float = 0.0,
-                       seam_margin: int = 10) -> Scenario:
+                       x0: float = 0.0, p0: float = 0.0) -> Scenario:
     """Free particle on a periodic grid, position-coupled collapse.
 
     The Gaussian packet must start, and stay, well inside the domain;
     the seam monitor in the deterministic integrator flags runs whose
     support reaches the wrap-around edge.
     """
-    info = GridInfo(n_points=n_points, dx=dx, mass=mass, seam_margin=seam_margin)
+    info = GridInfo(n_points=n_points, dx=dx, mass=mass)
     x = info.positions
     envelope = np.exp(-((x - x0) ** 2) / (4.0 * sigma0**2))
     amp = envelope * np.exp(1j * p0 * x / hbar)

@@ -15,14 +15,16 @@ deterministic integrators' accuracy), ``postulate.ORTHO_TOL``
 (grouping of outcome eigenvalues).  Monte Carlo checks state their bands
 in standard errors where they are made.
 
-``SEAM_MASS`` is not a rung but a diagnosis threshold on the probability
-within ``seam_margin`` points of the periodic grid's wrap-around edge.
-The grid split-step refuses a run whose finer run measured more than it,
-after any halving comparison, passed or not; the closed-form grid
-channels refuse a run whose estimated seam mass exceeds it.
+``SEAM_MASS`` and ``SEAM_MARGIN`` are not rungs but the seam diagnosis:
+``SEAM_MASS`` bounds the probability within ``SEAM_MARGIN`` points of
+the periodic grid's wrap-around edge.  The grid split-step refuses a run
+whose finer run measured more than that bound, after any halving
+comparison, passed or not; the closed-form grid channels refuse a run
+whose estimated seam mass exceeds it.
 """
 
 CONSTRUCTION = 1e-12
 ALGEBRA = 1e-10
 QUADRATURE = 1e-6
 SEAM_MASS = 1e-4
+SEAM_MARGIN = 10

@@ -66,19 +66,17 @@ class Scenario:
 
 @dataclass
 class TrajectoryResult:
-    """Everything recorded along one cooked trajectory.
+    """The field and end state of one cooked trajectory.
 
-    ``final_state`` is the normalized end-of-run state in the lab frame,
-    the state an ensemble keeps; the series hold <A> and <H> at every grid
-    time.
+    ``w`` holds the field value of every step; ``final_state`` is the
+    normalized end-of-run state in the lab frame, the state an ensemble
+    keeps, and ``coupling_populations`` its populations in the coupling
+    eigenbasis.
     """
 
-    times: np.ndarray
     w: np.ndarray
     final_state: StateVector
     coupling_populations: np.ndarray
-    series_expA: np.ndarray
-    series_expH: np.ndarray
 
 
 def evolve(scenario: Scenario, master_seed: int, index: int) -> TrajectoryResult:
@@ -100,17 +98,11 @@ def evolve(scenario: Scenario, master_seed: int, index: int) -> TrajectoryResult
     backend = make_backend(scenario, grid.dt)
     draws = block_increments(grid, scenario.params, master_seed, np.array([index]))
     batch = evolve_batch(backend, grid, scenario.params, scenario.psi0.amplitudes,
-                         draws, mode="cooked", record_series=True)
+                         draws, mode="cooked")
     if batch.failed[0]:
         raise NumericalFailure(
             "trajectory left the floating range; largest |w| = "
             f"{np.abs(batch.w[0]).max():.4g} over {grid.steps} steps")
     populations, psi_lab = backend.read_out(batch.final_internal)
-    return TrajectoryResult(
-        times=grid.times,
-        w=batch.w[0].copy(),
-        final_state=StateVector(psi_lab[0]),
-        coupling_populations=populations[0],
-        series_expA=batch.series_expA[0].copy(),
-        series_expH=batch.series_expH[0].copy(),
-    )
+    return TrajectoryResult(w=batch.w[0].copy(), final_state=StateVector(psi_lab[0]),
+                            coupling_populations=populations[0])

@@ -188,6 +188,53 @@ class TestConfigRejection:
         }
         self.reject(tmp_path, capsys, doc, "params.pair", command="postulate")
 
+    def test_negative_master_seed(self, tmp_path, capsys):
+        doc = two_level_config()
+        doc["ensemble"]["master_seed"] = -1
+        self.reject(tmp_path, capsys, doc, "ensemble.master_seed")
+
+    def test_negative_scenario_seed(self, tmp_path, capsys):
+        doc = {
+            "kind": "random_matrix",
+            "params": {"seed": -3, "dim": 4, "lam": 0.2},
+            "grid": {"t_end": 0.5, "steps": 20},
+        }
+        self.reject(tmp_path, capsys, doc, "params.seed", command="ledger")
+
+    def test_seam_margin_is_not_a_config_field(self, tmp_path, capsys):
+        doc = {
+            "kind": "free_particle_grid",
+            "params": {"n_points": 256, "dx": 0.25, "sigma0": 2.0, "lam": 0.01,
+                       "seam_margin": 10},
+            "grid": {"t_end": 1.0, "steps": 16},
+        }
+        self.reject(tmp_path, capsys, doc, "params.seam_margin", command="ledger")
+
+    def test_parallel_gaussian_branches(self, tmp_path, capsys):
+        doc = {
+            "kind": "postulate_analysis",
+            "params": {
+                "grid": {"n_points": 1024, "p_min": -8.0, "p_max": 8.0},
+                "pair": {"type": "gaussians", "sigma": 1.0,
+                         "center1": 2.0, "center2": 2.0},
+            },
+        }
+        self.reject(tmp_path, capsys, doc, "params.pair", command="postulate")
+
+    @pytest.mark.parametrize("section", ["tail", "moment"])
+    def test_scan_window_outside_the_grid(self, tmp_path, capsys, section):
+        doc = {
+            "kind": "postulate_analysis",
+            "params": {
+                "grid": {"n_points": 1024, "p_min": -8.0, "p_max": 8.0},
+                "pair": {"type": "windows", "window1": [-6.0, -2.0],
+                         "window2": [2.0, 6.0]},
+                section: {"edge_orders": [0], "window": [-3.0, 9.0]},
+            },
+        }
+        self.reject(tmp_path, capsys, doc, f"params.{section}.window",
+                    command="postulate")
+
     def test_zero_threads(self, tmp_path, capsys):
         cfg = write_config(tmp_path, two_level_config())
         code, _, stderr = run_cli(

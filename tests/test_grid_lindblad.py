@@ -27,7 +27,7 @@ from cslsim.errors import NumericalFailure
 from cslsim.ledger import build_ledger
 from cslsim.propagation import GridInfo
 from cslsim.scenarios import free_particle_grid
-from cslsim.tolerances import SEAM_MASS
+from cslsim.tolerances import SEAM_MARGIN, SEAM_MASS
 
 # Both routes round differently; they must agree to near machine precision.
 MATCH = 1e-12
@@ -196,9 +196,9 @@ def test_seam_mass_read_from_the_half_matches_the_full_column(monkeypatch, scena
     # sum_kappa f[kappa] Q[kappa, 0], f = ifft(edge), with the sectors
     # taken from their definition on the rho that the stepped half holds.
     info = scenario.grid_info
-    n, margin = info.n_points, info.seam_margin
+    n = info.n_points
     edge = np.zeros(n)
-    edge[:margin] = edge[n - margin:] = 1.0
+    edge[:SEAM_MARGIN] = edge[n - SEAM_MARGIN:] = 1.0
     form = np.fft.ifft(edge)
     full = []
     step = ensemble._sector_step

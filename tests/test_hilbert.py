@@ -11,9 +11,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import interaction_picture, loop_eigenvalue_groups
 from scipy.linalg import expm
 
+from cslsim import hilbert
+from cslsim.ensemble import DensityMatrix, lindblad_propagate, run_ensemble
 from cslsim.errors import NonHermitianError, ZeroNormError
-from cslsim.hilbert import (HermitianOperator, StateVector, double_commutator,
+from cslsim.hilbert import (HermitianOperator, Spectrum, StateVector, double_commutator,
                             eigendecompose, eigenvalue_groups)
+from cslsim.ledger import build_ledger, observable_drift
+from cslsim.scenarios import random_dense
 from cslsim.tolerances import ALGEBRA
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -97,22 +101,57 @@ class TestEigendecompose:
                                    atol=DENSE_MATCH)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=DENSE_MATCH)
 
-    def test_phase_convention(self):
-        rng = np.random.default_rng(12)
-        spec = random_hermitian(rng, 5).spectrum()
-        for j in range(5):
-            col = np.abs(spec.eigenvectors[:, j])
-            idx = np.argmax(col > 1e-8 * col.max())
-            pivot = spec.eigenvectors[idx, j]
-            assert pivot.real > 0.0
-            assert abs(pivot.imag) <= 1e-12 * abs(pivot)
-
     def test_bitwise_deterministic(self):
         m = 0.5 * (np.arange(16).reshape(4, 4) + np.arange(16).reshape(4, 4).T)
         s1 = eigendecompose(HermitianOperator(m))
         s2 = eigendecompose(HermitianOperator(m))
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+def phase_sensitive_outputs():
+    """Every dense output that reads a spectrum, from a fresh scenario (so
+    its operators compute their spectra anew)."""
+    scenario = random_dense(31, dim=6, lam=0.3, t_end=1.0, steps=128)
+    cooked = run_ensemble(scenario, 600, "cooked", 5, record_series=True,
+                          keep_final_states=True)
+    raw = run_ensemble(scenario, 600, "raw", 6, with_field_energy=True)
+    series = lindblad_propagate(DensityMatrix.from_state(scenario.psi0), scenario)
+    ledger = build_ledger(scenario, series=series)
+    drift = observable_drift(scenario.collapse_op, scenario, series)
+    return cooked, raw, ledger, drift
+
+
+def test_eigenvector_phases_reach_no_output(monkeypatch):
+    """Each output forms products in which a column phase of an
+    eigenvector cancels: rotating every column by a fixed unit phase
+    moves them by rounding only.  Every trajectory keeps its outcome, so
+    the cooked frequencies (counts) are identical; raw frequencies are
+    sums of weights, which round."""
+    want = phase_sensitive_outputs()
+
+    def rotated(op):
+        w, v = np.linalg.eigh(op.matrix)
+        return Spectrum(w, v * np.exp(1j * (0.7 + 1.3 * np.arange(op.dim))))
+
+    monkeypatch.setattr(hilbert, "eigendecompose", rotated)
+    got = phase_sensitive_outputs()
+    assert np.array_equal(got[0].outcome_frequencies, want[0].outcome_frequencies)
+    for stats, ref in zip(got[:2], want[:2]):
+        # The sample size is a count; its fraction of the ensemble is O(1).
+        assert (stats.effective_sample_size / stats.n_success
+                == pytest.approx(ref.effective_sample_size / ref.n_success, rel=0.0, abs=1e-12))
+        for name in ("outcome_frequencies", "outcome_errors", "mean_weight",
+                     "interaction_mean", "field_energy_mean", "mean_coupling",
+                     "mean_hamiltonian", "final_states", "final_weights"):
+            a, b = getattr(stats, name), getattr(ref, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12, err_msg=name)
+    for name in ("system", "field", "interaction"):
+        np.testing.assert_allclose(getattr(got[2], name), getattr(want[2], name),
+                                   rtol=0.0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(got[3], want[3], rtol=0.0, atol=1e-12)
 
 
 class TestInteractionPicture:

@@ -209,7 +209,7 @@ class TestMomentScans:
             doublings=4)
         assert scan.verdict == verdict
         assert scan.values.size == 5
-        assert np.all(np.diff(scan.orders) > 0.0)
+        assert np.all(np.diff(scan.domains) > 0.0)
 
     def test_rejects_odd_moment_order(self):
         with pytest.raises(ValueError, match="even"):

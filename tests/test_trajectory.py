@@ -237,7 +237,7 @@ class TestFieldEnergyEstimator:
 
 def test_grid_and_dense_backends_agree():
     """Dual route: FFT grid propagation versus the dense spectral kernel."""
-    info = GridInfo(n_points=64, dx=0.5, mass=1.3, seam_margin=4)
+    info = GridInfo(n_points=64, dx=0.5, mass=1.3)
     x = info.positions
     amp = np.exp(-((x - 1.0) ** 2) / 8.0) * np.exp(0.4j * x)
     amp = amp / np.linalg.norm(amp)
