@@ -43,6 +43,7 @@ from .postulate import (CONSERVING_RESIDUAL, VIOLATION_RESIDUAL, MomentumGrid,
                         build_window_state, collapse_residual, eq1_residual,
                         gaussian_state, make_superposition,
                         moment_divergence_scan, tail_fit)
+from .propagation import GridInfo
 from .reports import (RunManifest, ensemble_report, sha256_digest, write_csv,
                       write_json, write_ensemble_series_csv, write_ledger_csv)
 from .scenarios import free_particle_grid, qubit_dephasing, random_dense, two_level_collapse
@@ -214,15 +215,24 @@ def build_scenario(root: _Section, kind: str):
         n_points = params.integer("n_points", minimum=2)
         if n_points & (n_points - 1) != 0:
             raise ConfigError(params.key("n_points"), "must be a power of two")
+        dx = params.number("dx", positive=True)
+        sigma0 = params.number("sigma0", positive=True)
+        x0 = params.number("x0", default=0.0)
+        ring = GridInfo(n_points=n_points, dx=dx).positions
+        if not ring[0] <= x0 <= ring[-1]:
+            raise ConfigError(params.key("x0"),
+                              f"must lie on the ring, in [{ring[0]:g}, {ring[-1]:g}]")
+        # The packet's density at the grid point nearest x0.
+        peak = math.exp(-np.min((ring - x0) ** 2) / (2.0 * sigma0**2))
+        if not peak >= sys.float_info.min:
+            raise ConfigError(params.key("sigma0"), "is too narrow for the grid: the "
+                              "packet's density underflows at every grid point")
         scenario = free_particle_grid(
-            n_points=n_points,
-            dx=params.number("dx", positive=True),
-            sigma0=params.number("sigma0", positive=True),
+            n_points=n_points, dx=dx, sigma0=sigma0,
             lam=_nonnegative(params, "lam"),
             mass=params.number("mass", default=1.0, positive=True),
             hbar=params.number("hbar", default=1.0, positive=True),
-            x0=params.number("x0", default=0.0),
-            p0=params.number("p0", default=0.0),
+            x0=x0, p0=params.number("p0", default=0.0),
             **grid)
     elif kind == "random_matrix":
         seed = params.integer("seed", minimum=0)

@@ -234,8 +234,8 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
     keep_final_states : bool
         Retain the normalized final states and their weights.
     with_field_energy : bool
-        Run per-trajectory reverse sweeps for the field-energy estimator
-        (raw mode; its mean over raw paths is the deterministic value).
+        Carry each trajectory's field-energy estimator forward with its
+        state (raw mode; its mean over raw paths is the deterministic value).
     threads : int
         Worker threads for chunk fan-out.
 

@@ -42,6 +42,12 @@ on the grid).
 All randomness is injected by the caller as pre-drawn standardized
 increments, which keeps results independent of batching.
 
+The field-energy estimator sum_j (w_{j+1} - w_j) Im <c_S| U_{j->S} A+ c_j>
+(up to the reduced norms) pairs every field jump with the same bra <c_S|,
+so by linearity it is Im <c_S|eta_S> for one vector eta carried forward
+beside the state: step k adds (w_k - w_{k-1}) G A+ c_{k-1}, then eta takes
+the state's collapse factor, normalization and transfer.
+
 Memory orders.  Every batch array keeps the trajectory-first shape its
 callers index, (B, d) for states, but the backend chooses how the array
 is laid out (``backend.empty``).  ``SpectralBackend`` holds a batch of
@@ -50,8 +56,7 @@ loop over the trajectories instead of B loops of length d;
 ``GridBackend`` holds it as C-order (B, N), so every transform runs
 along a contiguous row.  Per-step arrays (field values, increments,
 log-norm and moment series) are held step-major, (S, B) in memory, so a
-step reads and writes one contiguous row, and the checkpoint states of
-the reverse sweep are held step-major too.  Dense products are row-major
+step reads and writes one contiguous row.  Dense products are row-major
 BLAS calls on the trajectory-first view, written back into the
 backend's layout: the column-major product G c on the (d, B) memory
 would round the last columns of a batch differently with the batch
@@ -60,7 +65,6 @@ size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,7 +127,7 @@ class SpectralBackend:
         self._w = w
         self._a_plus = (w * self.coupling_values) @ w.conj().T
         self._h_tilde = (p * spec_h.eigenvalues) @ p.conj().T
-        self._g_adj = self._g.conj()
+        self._g_coupling = self._g @ self._a_plus
 
     def enter(self, psi: np.ndarray) -> tuple:
         """Internal state of the lab state ``psi`` before the first step,
@@ -146,10 +150,10 @@ class SpectralBackend:
         return (_normalized_populations(c @ self._w.conj()),
                 c @ (self._va @ self._w.conj().T).T)
 
-    def empty(self, b: int, lead: tuple = (), dtype=np.complex128) -> np.ndarray:
-        """An uninitialized batch array of shape (b, *lead, d), held as
-        C-order (*lead, d, b): the trajectory axis is contiguous."""
-        return np.moveaxis(np.empty(lead + (self.dim, b), dtype=dtype), -1, 0)
+    def empty(self, b: int, dtype=np.complex128) -> np.ndarray:
+        """An uninitialized batch array of shape (b, d), held as C-order
+        (d, b): the trajectory axis is contiguous."""
+        return np.empty((self.dim, b), dtype=dtype).T
 
     def _product(self, c: np.ndarray, right: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -172,8 +176,10 @@ class SpectralBackend:
         adds it in index order."""
         return _abs2(c).sum(axis=1)
 
-    def transfer_adjoint(self, c: np.ndarray) -> np.ndarray:
-        return self._product(c, self._g_adj)
+    def transfer_coupling(self, c: np.ndarray) -> np.ndarray:
+        """G A+ c: the post-step coupling of ``c``, transferred to the next
+        step's frame, as a new array."""
+        return self._product(c, self._g_coupling.T)
 
     @staticmethod
     def _expect(c: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -196,9 +202,6 @@ class SpectralBackend:
             self._product(c, self._g.T, out=c)
         return c, mean_a, mean_h
 
-    def pair_coupling_post(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.einsum("bi,bi->b", y.conj(), c @ self._a_plus.T)
-
 
 class GridBackend:
     """FFT backend for a position-coupled particle on a periodic grid."""
@@ -215,11 +218,10 @@ class GridBackend:
         self._x_pairs = np.repeat(self.coupling_values, 2)
         self._e_pairs = np.repeat(e, 2) / self.dim
 
-    def empty(self, b: int, lead: tuple = (), dtype=np.complex128) -> np.ndarray:
-        """An uninitialized batch array of shape (b, *lead, N), held as
-        C-order (*lead, b, N): the grid axis is contiguous, as the
-        transforms need."""
-        return np.moveaxis(np.empty(lead + (b, self.dim), dtype=dtype), -2, 0)
+    def empty(self, b: int, dtype=np.complex128) -> np.ndarray:
+        """An uninitialized batch array of shape (b, N), C-order: the grid
+        axis is contiguous, as the transforms need."""
+        return np.empty((b, self.dim), dtype=dtype)
 
     def _kinetic(self, c: np.ndarray, phase: np.ndarray) -> np.ndarray:
         f = np.fft.fft(c, axis=-1)
@@ -250,8 +252,12 @@ class GridBackend:
         that row alone, not on the batch it sits in."""
         return np.vecdot(c, c).real
 
-    def transfer_adjoint(self, c: np.ndarray) -> np.ndarray:
-        return self._kinetic(c, self._phase_full.conj())
+    def transfer_coupling(self, c: np.ndarray) -> np.ndarray:
+        """Same contract as :meth:`SpectralBackend.transfer_coupling`, as
+        K_half x K_half c with K_half the half-step kinetic transfer."""
+        shifted = self._kinetic(c, self._phase_half)
+        shifted *= self.coupling_values
+        return self._kinetic(shifted, self._phase_half)
 
     def advance(self, c: np.ndarray, *, transfer: bool = True, coupling: bool = True,
                 energy: bool = False) -> tuple:
@@ -277,11 +283,6 @@ class GridBackend:
             return c, mean_a, mean_h
         f *= self._phase_full
         return np.fft.ifft(f, axis=-1, out=f), mean_a, mean_h
-
-    def pair_coupling_post(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-        ys = self._kinetic(y, self._phase_half)
-        cs = self._kinetic(c, self._phase_half)
-        return np.einsum("bi,bi->b", ys.conj(), cs * self.coupling_values)
 
 
 def _abs2(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -314,8 +315,8 @@ class BatchResult:
     norm of the reduced propagator (the importance weight in raw mode).
     ``interaction`` is the terminal interaction functional
     w_T <A> - 2 lam <A^2> in the final state, unweighted, and
-    ``field_energy`` the per-trajectory field-energy estimator of the
-    reverse sweep (:func:`field_energy_sweep`), when asked for.
+    ``field_energy`` the per-trajectory field-energy estimator
+    exp(log_red) Im <c_S|eta_S>, when asked for.
 
     Shapes are trajectory-first; the memory orders are the kernel's.
     ``final_internal`` is in the backend's order (``backend.empty``):
@@ -353,13 +354,6 @@ def _step_exponent(w_k: np.ndarray, a: np.ndarray, damp: np.ndarray, dt: float,
     return out
 
 
-def _checkpoint_stride(steps: int) -> int:
-    """Steps between the states a field-energy run keeps for the reverse
-    sweep: about sqrt(S), so the sweep holds O(sqrt(S)) states per
-    trajectory and recomputes each gap once."""
-    return max(1, int(math.sqrt(steps)))
-
-
 def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarray,
                  draws: np.ndarray, *, mode: str, record_series: bool = False,
                  with_field_energy: bool = False) -> BatchResult:
@@ -375,9 +369,9 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     mode : "cooked" (state-dependent drift 2 lam <A> added to ``draws``)
         or "raw" (``draws`` used verbatim)
     record_series : record per-step coupling mean and <H>
-    with_field_energy : also run the reverse sweep into ``field_energy``,
-        from every ``_checkpoint_stride``-th state (and the first and last);
-        with one step the estimator is zero and no state is kept
+    with_field_energy : also carry the field-energy vector eta forward
+        beside the state and give the estimator in ``field_energy``; with
+        one step there is no field jump and the estimator is zero
 
     ``draws`` may have any memory order; step k reads its column k, which
     is contiguous when it is the transposed view of a step-major (S, B)
@@ -398,6 +392,10 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     ``psi0`` itself.  The last step is not transferred:
     ``final_internal`` is the post-step state that ``backend.read_out``
     expects.
+
+    With ``with_field_energy`` each step also carries eta (module
+    docstring): on the grid two more transforms transfer it and four give
+    G A+ c_k (``backend.transfer_coupling``), taken before c_k moves on.
 
     Failed rows (exponent overflow or total underflow) are flagged, not
     raised; the ensemble layer decides how many failures are tolerable.
@@ -432,27 +430,27 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         # Read in place when step-major already; raw mode never writes it.
         w_steps = np.ascontiguousarray(draws.T, dtype=float)
 
-    # The reverse sweep's checkpoints: views into one block, step-major.
-    checkpoints = {}
-    if with_field_energy and s >= 2:
-        kept = sorted({*range(0, s + 1, _checkpoint_stride(s)), s})
-        block = backend.empty(b, (len(kept),))
-        checkpoints = {k: block[:, i] for i, k in enumerate(kept)}
-        checkpoints[0][...] = c
-    log_series = np.zeros((s + 1, b)) if checkpoints or record_series else None
+    # eta carries the field-energy estimator's ket (module docstring), in
+    # the state's memory order; coupled holds G A+ c_{k-1} for step k.
+    eta = np.zeros_like(c) if with_field_energy else None
+    coupled = None
 
     if record_series:
+        log_series = np.zeros((s + 1, b))
         exp_a = np.empty((s + 1, b))
         exp_h = np.empty((s + 1, b))
         exp_a[0] = mean_a
         exp_h[0] = mean_h
     else:
-        exp_a = exp_h = None
+        log_series = exp_a = exp_h = None
 
     for k in range(1, s + 1):
         wk = w_steps[k - 1]
         if cooked:
             np.add(2.0 * lam * mean_a, inc[k - 1], out=wk)
+        if coupled is not None:
+            coupled *= (wk - w_steps[k - 2])[:, None]
+            eta += coupled
 
         _step_exponent(wk, a, damp, dt, expo)
         # One max over the whole block is far cheaper than a reduction
@@ -462,6 +460,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
             failed |= bad
             expo[bad] = 0.0
         c *= np.exp(expo, out=expo)
+        if eta is not None:
+            eta *= expo
         n2 = backend.norm2(c)
         dead = n2 == 0.0
         if dead.any():
@@ -472,16 +472,18 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         log_red += np.log(n2)
         _normalize(c, n2)
 
-        if log_series is not None:
-            log_series[k] = log_red
-        if k in checkpoints:
-            checkpoints[k][...] = c
         last = k == s
+        if eta is not None:
+            _normalize(eta, n2)
+            if not last:
+                coupled = backend.transfer_coupling(c)
+                eta = backend.advance(eta, coupling=False)[0]
         if record_series or not last:
             c, mean_a, mean_h = backend.advance(
                 c, transfer=not last, coupling=record_series or cooked,
                 energy=record_series)
             if record_series:
+                log_series[k] = log_red
                 exp_a[k] = mean_a
                 exp_h[k] = mean_h
 
@@ -493,11 +495,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     interaction = w_steps[-1] * np.vecdot(pops, a) - 2.0 * lam * np.vecdot(pops, a * a)
 
     field_energy = None
-    if checkpoints:
-        field_energy = field_energy_sweep(backend, grid, params, w_steps, log_series,
-                                          log_red, checkpoints)
-    elif with_field_energy:
-        field_energy = np.zeros(b)
+    if eta is not None:
+        field_energy = np.exp(log_red) * np.vecdot(c, eta).imag
 
     def rows(steps):
         return None if steps is None else steps.T
@@ -514,62 +513,3 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         field_energy=field_energy,
     )
 
-
-def field_energy_sweep(backend, grid: TimeGrid, params: CollapseParams, w: np.ndarray,
-                       log_series: np.ndarray, log_red: np.ndarray,
-                       checkpoints: dict) -> np.ndarray:
-    """Per-trajectory field-energy estimator via a reverse sweep.
-
-    Pairs each interior increment (w_{k+1} - w_k) with
-    Im <xi(t_k)| A(t_k) |phi(t_k)> where phi are the forward reduced
-    states and xi is the adjoint propagation of the final state, rebuilt
-    backwards with the same (Hermitian) step factors.  States are
-    evaluated exactly at the jump times of the step-function field, which
-    is the midpoint (Stratonovich) convention for this discretization.
-
-    Works on the arrays of :func:`evolve_batch`, which calls it: the
-    step-major (S, B) field values ``w`` and (S+1, B) log-norm series
-    ``log_series``, one contiguous step row per step; the final log norms
-    ``log_red``; and ``checkpoints``, which maps step indices, 0 and S
-    among them, to the normalized states kept after those steps, in the
-    backend's order.  Gaps between checkpoints are recomputed forward
-    from the nearest stored state.  Needs S >= 2.
-    """
-    s = grid.steps
-    dt = grid.dt
-    lam = params.lam
-    a = backend.coupling_values
-    damp = lam * a * a
-    b = log_red.shape[0]
-    expo = backend.empty(b, dtype=float)
-
-    def collapse(c: np.ndarray, k: int) -> np.ndarray:
-        """Apply the reduced factor of step k to ``c`` in place and
-        normalize it; returns the squared norm it had."""
-        c *= np.exp(_step_exponent(w[k - 1], a, damp, dt, expo), out=expo)
-        n2 = backend.norm2(c)
-        _normalize(c, n2)
-        return n2
-
-    y = checkpoints[s].copy(order="K")
-    log_y = log_red.copy()
-    total = np.zeros(b)
-    kept = sorted(checkpoints)
-    # Walk backwards over the segments between checkpoints, recomputing
-    # the forward states inside a segment from its first checkpoint.
-    for lo, hi in reversed(list(zip(kept, kept[1:]))):
-        phi = {lo: checkpoints[lo], hi: checkpoints[hi]}
-        for k in range(lo + 1, hi):
-            c = phi[k - 1].copy(order="K")
-            if k > 1:
-                c = backend.advance(c, coupling=False)[0]
-            collapse(c, k)
-            phi[k] = c
-        for j in range(min(hi, s - 1), lo, -1):
-            # y holds xi(t_{j+1}) in the frame of step j+1
-            log_y += np.log(collapse(y, j + 1))
-            y = backend.transfer_adjoint(y)
-            pair = backend.pair_coupling_post(y, phi[j])
-            scale = np.exp(0.5 * (log_y + log_series[j]))
-            total += (w[j] - w[j - 1]) * (scale * pair.imag)
-    return total

@@ -6,8 +6,10 @@ that route against plain matrix products.  The grid split-step is
 checked against the two-axis form it had before it moved onto the ring,
 kept here, and its kappa-sectors are built from their definition.  The
 dense propagation kernel is checked against its earlier row-major form,
-kept here, and the ledger's drift formula against the rotating-frame
-expectation it differentiates.  Eigenvalue grouping is checked against its earlier
+kept here, and its forward-carried field-energy estimator against the
+reverse sweep over stored states that the kernel once ran.  The ledger's
+drift formula is checked against the rotating-frame expectation it
+differentiates.  Eigenvalue grouping is checked against its earlier
 loop, and the collapse residual against its two cross elements computed
 apart by the generating-function overlaps.
 
@@ -257,10 +259,12 @@ def rotating_expectation(q, scenario, series):
 class RowMajorSpectral:
     """The dense backend's frame operations on C-order (B, d) rows, the
     layout the kernel used before it held batches trajectory-contiguous.
-    With :func:`row_major_evolve` and :func:`row_major_field_energy`, whose
-    per-step arrays are (B, S) columns, it is the reference the kernel must
-    match bit for bit; the frame operators are built as the package builds
-    them.
+    With :func:`row_major_evolve`, whose per-step arrays are (B, S) columns,
+    it is the reference the kernel must match bit for bit; the frame
+    operators are built as the package builds them.  The field energy of
+    :func:`row_major_field_energy` is a different algorithm, a reverse
+    sweep with the adjoint transfer, and agrees with the kernel's to
+    rounding only.
     """
 
     def __init__(self, hamiltonian, coupling, dt, hbar):

@@ -210,6 +210,27 @@ class TestConfigRejection:
         }
         self.reject(tmp_path, capsys, doc, "params.seam_margin", command="ledger")
 
+    def test_packet_centre_off_the_ring(self, tmp_path, capsys):
+        doc = {
+            "kind": "free_particle_grid",
+            "ensemble": {"n": 10, "mode": "cooked", "master_seed": 1},
+            "params": {"n_points": 256, "dx": 0.25, "sigma0": 2.0, "lam": 0.01,
+                       "x0": 1e6},
+            "grid": {"t_end": 1.0, "steps": 16},
+        }
+        self.reject(tmp_path, capsys, doc, "params.x0")
+
+    def test_packet_narrower_than_the_grid(self, tmp_path, capsys):
+        # Centred between two grid points, a packet of spread 0.001 has a
+        # density of exp(-7812.5) at the nearest one: zero in floating point.
+        doc = {
+            "kind": "free_particle_grid",
+            "params": {"n_points": 256, "dx": 0.25, "sigma0": 0.001, "lam": 0.01,
+                       "x0": 0.125},
+            "grid": {"t_end": 1.0, "steps": 16},
+        }
+        self.reject(tmp_path, capsys, doc, "params.sigma0", command="ledger")
+
     def test_parallel_gaussian_branches(self, tmp_path, capsys):
         doc = {
             "kind": "postulate_analysis",

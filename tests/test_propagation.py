@@ -14,7 +14,6 @@ import pytest
 from oracles import RowMajorSpectral, row_major_evolve
 from scipy.linalg import expm
 
-from cslsim import propagation
 from cslsim.ensemble import run_ensemble
 from cslsim.errors import NumericalFailure
 from cslsim.hilbert import HermitianOperator, StateVector
@@ -25,6 +24,9 @@ from cslsim.scenarios import (free_particle_grid, qubit_dephasing, random_dense,
 from cslsim.trajectory import Scenario, evolve
 
 DRIFT_MATCH = 1e-12
+# Field energy against the oracle's reverse sweep, relative to the batch's
+# largest |value|.
+FIELD_ENERGY_MATCH = 1e-12
 
 BATCH_FIELDS = ("final_internal", "log_red", "w", "failed", "interaction",
                 "log_red_series", "series_expA", "series_expH", "field_energy")
@@ -33,11 +35,6 @@ BATCH_FIELDS = ("final_internal", "log_red", "w", "failed", "interaction",
 def random_states(rng, b, d):
     c = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
     return c / np.linalg.norm(c, axis=1, keepdims=True)
-
-
-def checkpoint_every(monkeypatch, stride):
-    """Make field-energy runs keep every ``stride``-th state."""
-    monkeypatch.setattr(propagation, "_checkpoint_stride", lambda steps: stride)
 
 
 def count_transforms(monkeypatch):
@@ -54,8 +51,22 @@ def count_transforms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("record_series", [False, True])
-def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, record_series):
+# (mode, record_series, with_field_energy, transforms per step, offset):
+# entering the frame costs two transforms, and the last step transfers
+# nothing and, without series, needs no moments either.  A raw field-energy
+# step transfers the state and eta (two transforms each) and takes G A+ of
+# the state (four), all but on the last step.
+TRANSFORM_CASES = [
+    pytest.param("cooked", False, False, 3, -1, id="False"),
+    pytest.param("cooked", True, False, 3, 1, id="True"),
+    pytest.param("raw", False, True, 8, -6, id="raw-field-energy"),
+]
+
+
+@pytest.mark.parametrize("mode, record_series, with_field_energy, per_step, offset",
+                         TRANSFORM_CASES)
+def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, mode, record_series,
+                                                     with_field_energy, per_step, offset):
     scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05)
     dt = 1.0 / 32.0
     backend = GridBackend(scenario.grid_info, dt, scenario.params.hbar)
@@ -66,12 +77,11 @@ def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, record_series)
         calls[0] = 0
         evolve_batch(backend, TimeGrid(steps * dt, steps), scenario.params,
                      scenario.psi0.amplitudes, rng.standard_normal((5, steps)),
-                     mode="cooked", record_series=record_series)
+                     mode=mode, record_series=record_series,
+                     with_field_energy=with_field_energy)
         counts.append(calls[0])
-    assert counts[1] - counts[0] == 3 * 16
-    # Entering the frame costs two transforms; the last step transfers
-    # nothing and, without series, needs no moments either.
-    assert counts[0] == 3 * 16 + (1 if record_series else -1)
+    assert counts[1] - counts[0] == per_step * 16
+    assert counts[0] == per_step * 16 + offset
 
 
 def test_grid_final_read_out_is_one_transform_pair(monkeypatch):
@@ -256,7 +266,7 @@ def test_reused_drift_equals_the_pre_step_mean_after_transfer(kind):
 
 
 @pytest.mark.parametrize("kind", ["dense", "grid"])
-def test_field_values_give_the_same_bits_in_either_memory_order(monkeypatch, kind):
+def test_field_values_give_the_same_bits_in_either_memory_order(kind):
     if kind == "dense":
         scenario = random_dense(71, dim=8, lam=0.3, t_end=1.0, steps=24)
     else:
@@ -265,15 +275,6 @@ def test_field_values_give_the_same_bits_in_either_memory_order(monkeypatch, kin
     grid = scenario.grid
     backend = make_backend(scenario, grid.dt)
     step_major = 2.0 * np.random.default_rng(5).standard_normal((grid.steps, 37))
-    checkpoint_every(monkeypatch, 5)
-    kept = []
-    sweep = propagation.field_energy_sweep
-
-    def keeping(*args):
-        kept.append(args[-1])
-        return sweep(*args)
-
-    monkeypatch.setattr(propagation, "field_energy_sweep", keeping)
 
     def run(draws):
         return evolve_batch(backend, grid, scenario.params, scenario.psi0.amplitudes,
@@ -290,11 +291,16 @@ def test_field_values_give_the_same_bits_in_either_memory_order(monkeypatch, kin
         assert series.T.flags.c_contiguous
     contiguous = 0 if kind == "dense" else 1
     assert steps.final_internal.strides[contiguous] == steps.final_internal.itemsize
-    assert sorted(kept[-1]) == sorted({*range(0, grid.steps + 1, 5), grid.steps})
-    assert kept[-1][10].strides[contiguous] == kept[-1][10].itemsize
 
 
-def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit(monkeypatch):
+def assert_field_energy_matches(got, want):
+    """The kernel carries the estimator forward, the oracle sweeps it
+    backwards: the two sum the same terms in different orders."""
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=FIELD_ENERGY_MATCH * np.abs(want).max())
+
+
+def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
     scenario = random_dense(72, dim=8, lam=0.3, t_end=1.0, steps=40)
     grid, params = scenario.grid, scenario.params
     backend = make_backend(scenario, grid.dt)
@@ -302,14 +308,12 @@ def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit(monkeypatch):
                               params.hbar)
     # 300 rows: not a multiple of any BLAS blocking.
     draws = block_increments(grid, params, 9, np.arange(300))
-    # The sweep recomputes the states between every 7th one, which must
-    # repeat the forward steps exactly.
-    checkpoint_every(monkeypatch, 7)
     got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                        mode="cooked", record_series=True, with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes,
                             mode="cooked", draws=np.ascontiguousarray(draws),
                             record_series=True, with_field_energy=True)
+    assert_field_energy_matches(got.field_energy, want.pop("field_energy"))
     for name, value in want.items():
         assert np.array_equal(getattr(got, name), value), name
     for ours, theirs in zip(backend.read_out(got.final_internal),
@@ -317,37 +321,50 @@ def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit(monkeypatch):
         assert np.array_equal(ours, theirs)
 
 
-@pytest.mark.parametrize("stride", [1, 7])
-def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit(monkeypatch,
-                                                                        stride):
-    # Every 7th of 50 steps is about the sqrt(S) default; the sweep then
-    # recomputes the states between checkpoints, repeating the forward
-    # arithmetic exactly.
+def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit():
     scenario = qubit_dephasing(omega=1.0, lam=0.2, t_end=1.0, steps=50)
     grid, params = scenario.grid, scenario.params
     backend = make_backend(scenario, grid.dt)
     oracle = RowMajorSpectral(scenario.hamiltonian, scenario.collapse_op, grid.dt,
                               params.hbar)
     draws = block_increments(grid, params, 10, np.arange(300))
-    checkpoint_every(monkeypatch, stride)
     got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                        mode="raw", with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes, mode="raw",
                             draws=np.ascontiguousarray(draws), with_field_energy=True)
-    for name in ("final_internal", "log_red", "w", "interaction", "log_red_series",
-                 "field_energy"):
+    assert_field_energy_matches(got.field_energy, want["field_energy"])
+    for name in ("final_internal", "log_red", "w", "interaction"):
         assert np.array_equal(getattr(got, name), want[name]), name
+    # The oracle's sweep needs the log-norm series; the kernel records it
+    # with the series only.
+    assert got.log_red_series is None
 
 
-def test_one_step_field_energy_is_zero_and_keeps_no_states(monkeypatch):
-    # With one step there is no interior field jump: the kernel neither
-    # plans checkpoints nor runs the sweep.
-    def refuse(*args):
-        raise AssertionError("a one-step run keeps no states")
-
-    monkeypatch.setattr(propagation, "_checkpoint_stride", refuse)
-    monkeypatch.setattr(propagation, "field_energy_sweep", refuse)
+def test_one_step_field_energy_is_zero_and_keeps_no_states():
+    # With one step there is no interior field jump, so eta stays zero.
     scenario = qubit_dephasing(omega=1.0, lam=0.2, t_end=0.5, steps=1)
     stats = run_ensemble(scenario, 300, "raw", 3, with_field_energy=True)
     assert stats.n_success == 300
     assert stats.field_energy_mean == 0.0
+
+
+@pytest.mark.parametrize("mode", ["raw", "cooked"])
+@pytest.mark.parametrize("kind", ["dense", "grid"])
+def test_field_energy_of_a_row_does_not_depend_on_the_batch(kind, mode):
+    # Rows 100..236 of a 300-row batch, run on their own, give the bits of
+    # the same rows in the full batch.  (A dense one-row batch rounds
+    # differently: its trajectory axis is then also the contiguous one.)
+    if kind == "dense":
+        scenario = random_dense(73, dim=8, lam=0.3, t_end=1.0, steps=24)
+    else:
+        scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                      t_end=0.5, steps=16)
+    grid, params = scenario.grid, scenario.params
+    backend = make_backend(scenario, grid.dt)
+    draws = block_increments(grid, params, 11, np.arange(300))
+
+    def run(rows):
+        return evolve_batch(backend, grid, params, scenario.psi0.amplitudes, rows,
+                            mode=mode, with_field_energy=True).field_energy
+
+    assert np.array_equal(run(draws[100:237]), run(draws)[100:237])

@@ -16,7 +16,6 @@ from oracles import (collapse_metrics, dense_kinetic_hamiltonian, run_path,
                      trajectory_increments)
 from scipy.linalg import expm
 
-from cslsim import propagation
 from cslsim.hilbert import HermitianOperator, StateVector
 from cslsim.noise import CollapseParams, TimeGrid
 from cslsim.propagation import GridInfo
@@ -197,10 +196,9 @@ def test_interaction_sample_recomputes_from_the_final_state():
 
 
 class TestFieldEnergyEstimator:
-    def test_matches_naive_two_sided_reference(self, monkeypatch):
+    def test_matches_naive_two_sided_reference(self):
         scenario = qubit_dephasing(omega=1.2, lam=0.3, t_end=0.6, steps=30)
         w = trajectory_increments(scenario.grid, scenario.params, 13, 0)
-        monkeypatch.setattr(propagation, "_checkpoint_stride", lambda steps: 1)
         got = run_path(scenario, w, with_field_energy=True)[0].field_energy[0]
 
         h = scenario.hamiltonian.matrix
@@ -225,18 +223,10 @@ class TestFieldEnergyEstimator:
             total += (w[j] - w[j - 1]) * float(np.vdot(xi[j], a_t @ phi[j]).imag)
         assert got == pytest.approx(total, rel=1e-10)
 
-    def test_checkpoint_stride_does_not_change_the_value(self, monkeypatch):
-        scenario = qubit_dephasing(t_end=0.8, steps=64)
-        w = trajectory_increments(scenario.grid, scenario.params, 14, 0)
-        # The kernel keeps about sqrt(S) checkpoints by default.
-        sparse = run_path(scenario, w, with_field_energy=True)[0].field_energy[0]
-        monkeypatch.setattr(propagation, "_checkpoint_stride", lambda steps: 1)
-        dense = run_path(scenario, w, with_field_energy=True)[0].field_energy[0]
-        assert sparse == pytest.approx(dense, rel=1e-12)
-
 
 def test_grid_and_dense_backends_agree():
-    """Dual route: FFT grid propagation versus the dense spectral kernel."""
+    """Dual route: FFT grid propagation versus the dense spectral kernel,
+    field energy included, on four paths."""
     info = GridInfo(n_points=64, dx=0.5, mass=1.3)
     x = info.positions
     amp = np.exp(-((x - 1.0) ** 2) / 8.0) * np.exp(0.4j * x)
@@ -250,11 +240,16 @@ def test_grid_and_dense_backends_agree():
         hamiltonian=HermitianOperator(dense_kinetic_hamiltonian(info, params.hbar)),
         collapse_op=HermitianOperator(np.diag(x)),
         psi0=psi0, params=params, grid=grid)
-    values = trajectory_increments(grid, params, 15, 0)
-    bg, fg = run_path(scenario_grid, values, record_series=True)
-    bd, fd = run_path(scenario_dense, values, record_series=True)
-    assert math.exp(bg.log_red[0]) == pytest.approx(math.exp(bd.log_red[0]), rel=1e-10)
-    np.testing.assert_allclose(fg, fd, atol=1e-10)
-    np.testing.assert_allclose(bg.series_expA, bd.series_expA, atol=1e-10)
-    np.testing.assert_allclose(bg.series_expH, bd.series_expH, atol=1e-10)
+    for index in range(4):
+        values = trajectory_increments(grid, params, 15, index)
+        bg, fg = run_path(scenario_grid, values, record_series=True,
+                          with_field_energy=True)
+        bd, fd = run_path(scenario_dense, values, record_series=True,
+                          with_field_energy=True)
+        assert math.exp(bg.log_red[0]) == pytest.approx(math.exp(bd.log_red[0]),
+                                                        rel=1e-10)
+        np.testing.assert_allclose(fg, fd, atol=1e-10)
+        np.testing.assert_allclose(bg.series_expA, bd.series_expA, atol=1e-10)
+        np.testing.assert_allclose(bg.series_expH, bd.series_expH, atol=1e-10)
+        assert bg.field_energy[0] == pytest.approx(bd.field_energy[0], rel=1e-10)
 
