@@ -321,13 +321,15 @@ def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
         assert np.array_equal(ours, theirs)
 
 
-def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit():
+@pytest.mark.parametrize("master_seed", [1, 7])
+def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit(master_seed):
+    # Two independent noise draws of the same 300 trajectories.
     scenario = qubit_dephasing(omega=1.0, lam=0.2, t_end=1.0, steps=50)
     grid, params = scenario.grid, scenario.params
     backend = make_backend(scenario, grid.dt)
     oracle = RowMajorSpectral(scenario.hamiltonian, scenario.collapse_op, grid.dt,
                               params.hbar)
-    draws = block_increments(grid, params, 10, np.arange(300))
+    draws = block_increments(grid, params, master_seed, np.arange(300))
     got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                        mode="raw", with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes, mode="raw",
