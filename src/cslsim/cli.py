@@ -217,6 +217,9 @@ def build_scenario(root: _Section, kind: str):
             raise ConfigError(params.key("n_points"), "must be a power of two")
         dx = params.number("dx", positive=True)
         sigma0 = params.number("sigma0", positive=True)
+        if not math.isfinite(sigma0 * sigma0):
+            raise ConfigError(params.key("sigma0"), "is too wide: its square "
+                              "overflows floating point")
         x0 = params.number("x0", default=0.0)
         ring = GridInfo(n_points=n_points, dx=dx).positions
         if not ring[0] <= x0 <= ring[-1]:

@@ -38,13 +38,22 @@ writes its results per trajectory into its own rows of preallocated
 arrays (and its series sums into its own slot).  Each statistic is then
 reduced once over the rows in index order.  Worker threads only change
 who computes a chunk, never the arithmetic, so results are identical
-for any thread count.
+for any thread count.  While more than one worker runs, numpy's bundled
+OpenBLAS is held to one thread, so that its own threads do not compete
+with the workers for the cores; that count is process-wide, so BLAS
+calls that other threads make during a pooled run are single-threaded
+too.  The previous count is restored once the workers have joined.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -77,6 +86,45 @@ GRID_MAX_REFINE = 4
 # so that reduction order, and hence output bits, are stable.
 def _chunk_size(dim: int) -> int:
     return max(1, min(4096, (1 << 16) // dim))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles in ``numpy.libs``, or None where that library or its two
+    functions are not found (another BLAS, another packaging).  numpy has
+    the library loaded already; this only looks the functions up, through
+    ctypes as threadpoolctl does."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_count = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_count.argtypes, set_count.restype = (ctypes.c_int,), None
+        return get, set_count
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread (a process-wide setting) for
+    the block and restore its previous count after; where the library is
+    not found, change nothing."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_count = blas
+    previous = get()
+    set_count(1)
+    try:
+        yield
+    finally:
+        set_count(previous)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +285,11 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
         Carry each trajectory's field-energy estimator forward with its
         state (raw mode; its mean over raw paths is the deterministic value).
     threads : int
-        Worker threads for chunk fan-out.
+        Worker threads for chunk fan-out.  While more than one worker
+        runs (``threads > 1`` and more than one chunk), numpy's OpenBLAS
+        is held to one thread; the count is process-wide, so BLAS calls
+        that other threads make meanwhile are single-threaded too.  The
+        previous count is restored when the workers have joined.
 
     Raises
     ------
@@ -269,7 +321,7 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
                    rows, None if series is None else series[c])
 
     if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(len(bounds))))
     else:
         for c in range(len(bounds)):

@@ -231,6 +231,14 @@ class TestConfigRejection:
         }
         self.reject(tmp_path, capsys, doc, "params.sigma0", command="ledger")
 
+    def test_packet_whose_spread_squared_overflows(self, tmp_path, capsys):
+        doc = {
+            "kind": "free_particle_grid",
+            "params": {"n_points": 256, "dx": 0.25, "sigma0": 1e200, "lam": 0.01},
+            "grid": {"t_end": 1.0, "steps": 16},
+        }
+        self.reject(tmp_path, capsys, doc, "params.sigma0", command="ledger")
+
     def test_parallel_gaussian_branches(self, tmp_path, capsys):
         doc = {
             "kind": "postulate_analysis",

@@ -486,6 +486,76 @@ class TestChunksAndKeptStates:
         assert peak < 1.75 * stats.final_states.nbytes
 
 
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at two threads for the test, so that a cap to one
+    shows on any machine; its previous count is restored after.  Yields
+    the function that reads the count, through the ensemble's locator."""
+    blas = ensemble._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, set_count = blas
+    previous = get()
+    set_count(2)
+    try:
+        yield get
+    finally:
+        set_count(previous)
+
+
+class TestBlasThreads:
+    # d = 8: 4100 trajectories make chunks of 4096 and 4, each running the
+    # (B, 8) @ (8, 8) products that OpenBLAS threads.
+    N = 4100
+
+    @staticmethod
+    def dense8():
+        return random_dense(31, dim=8, lam=0.3, t_end=0.5, steps=8)
+
+    @pytest.mark.parametrize("threads, inside", [(1, 2), (2, 1)])
+    def test_workers_run_at_one_blas_thread_only_when_pooled(
+            self, monkeypatch, two_blas_threads, threads, inside):
+        seen = []
+        real = ensemble._run_chunk
+
+        def spy(*args):
+            seen.append(two_blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(ensemble, "_run_chunk", spy)
+        run_ensemble(self.dense8(), self.N, "cooked", 5, threads=threads)
+        assert seen == [inside, inside]
+        assert two_blas_threads() == 2
+
+    def test_the_count_is_restored_after_a_failing_worker(self, monkeypatch,
+                                                          two_blas_threads):
+        real = ensemble._run_chunk
+
+        def fail_second(backend, scenario, lo, hi, *args):
+            if lo > 0:
+                raise NumericalFailure("chunk failed")
+            return real(backend, scenario, lo, hi, *args)
+
+        monkeypatch.setattr(ensemble, "_run_chunk", fail_second)
+        with pytest.raises(NumericalFailure, match="chunk failed"):
+            run_ensemble(self.dense8(), self.N, "cooked", 5, threads=2)
+        assert two_blas_threads() == 2
+
+    def test_the_cap_changes_no_bit(self, monkeypatch):
+        def run():
+            return run_ensemble(self.dense8(), self.N, "cooked", 5, record_series=True,
+                                keep_final_states=True, threads=2)
+
+        capped = run()
+        monkeypatch.setattr(ensemble, "_openblas_threads", lambda: None)
+        free = run()
+        assert np.array_equal(capped.final_states, free.final_states)
+        assert np.array_equal(capped.outcome_frequencies, free.outcome_frequencies)
+        assert np.array_equal(capped.mean_coupling, free.mean_coupling)
+        assert np.array_equal(capped.mean_hamiltonian, free.mean_hamiltonian)
+        assert capped.interaction_mean == free.interaction_mean
+
+
 class TestEnsembleAgainstLindblad:
     def test_final_density_matrix_matches_the_closed_form(self):
         scenario = two_level_collapse(weight_upper=0.6, relative_phase=0.7,
