@@ -19,9 +19,9 @@ over the whole span checks the stepped end point to
 ``DENSE_HALVING_TOL``.  The periodic grid is too large for that.  Its
 energy channels read only the kappa = 0 momentum sector of rho, which
 evolves in closed form, so the grid ledger needs no integrator.  Its
-final rho comes from a split-step integrator with a halving check on
-that final rho (``GRID_HALVING_TOL``, at most ``GRID_MAX_REFINE`` step
-doublings).  The split-step
+final rho comes from a split-step integrator, checked by one halving
+comparison of that final rho to ``GRID_HALVING_TOL``.  Each integrator
+makes its one comparison and fails above its tolerance.  The split-step
 works on the ring (minimum-image collapse distances, the model the
 channels use), where both of its steps keep kappa = p - p' fixed: it
 holds rho as its kappa-sectors Q[kappa, d], in which the collapse scales
@@ -72,13 +72,12 @@ ESS_FLOOR = 100.0
 # Fraction of trajectories that must survive for a run to count.
 MIN_SUCCESS_FRACTION = 0.9
 
-# Accuracy contracts of the two deterministic integrators: the dense
-# stepped end point against one exp(L t_end) rho0, and the grid final rho
-# against the run at half the step count, which may be refined by step
-# doubling at most GRID_MAX_REFINE times.
+# Accuracy contracts of the two deterministic integrators, each a bound
+# on the largest entry difference of one comparison: the dense stepped
+# end point against one exp(L t_end) rho0, and the grid final rho against
+# the run at half the step count.
 DENSE_HALVING_TOL = 1e-8
 GRID_HALVING_TOL = 1e-6
-GRID_MAX_REFINE = 4
 
 # Trajectories per batch: at most 2^16 amplitudes (1 MiB of complex128
 # state) and at most 4096 rows, and at least one row on grids above 2^16
@@ -394,10 +393,9 @@ class LindbladSeries:
     none.  All matrices are lab frame.
 
     ``achieved_halving_error`` is the accuracy figure of the run: the
-    largest entry difference between the final rho and a reference,
-    relative to the largest entry (at least 1).  The reference is one
-    exp(L t_end) rho0 (dense) or the grid run at half the step count;
-    without a final rho the figure is None.
+    largest entry difference (absolute; no entry of rho exceeds 1) between
+    the final rho and one exp(L t_end) rho0 (dense) or the grid run at
+    half the step count.  Without a final rho it is None.
     """
 
     times: np.ndarray
@@ -466,9 +464,8 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario) -> LindbladSerie
     scenario's span t_end on 2 * steps intervals, dt = t_end / (2 * steps),
     and the series holds rho at all 2 * steps + 1 times.  Its accuracy
     figure, ``achieved_halving_error``, is the largest entry difference
-    between the stepped final rho and one exp(L t_end) rho0 (relative to
-    the largest entry, at least 1).  The energy channels are traced from
-    the series.
+    between the stepped final rho and one exp(L t_end) rho0.  The energy
+    channels are traced from the series.
 
     Raises
     ------
@@ -490,8 +487,7 @@ def lindblad_propagate(rho0: DensityMatrix, scenario: Scenario) -> LindbladSerie
     # The propagator keeps rho Hermitian only up to rounding.
     rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
     exact = (expm(liou * t_end) @ v0).reshape(d, d)
-    scale = max(float(np.abs(rhos).max()), 1.0)
-    err = float(np.abs(rhos[-1] - exact).max()) / scale
+    err = float(np.abs(rhos[-1] - exact).max())
     if not err <= DENSE_HALVING_TOL:
         raise NumericalFailure(
             f"density-matrix propagation not accurate: {2 * steps} exact steps "
@@ -679,23 +675,22 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario) -> LindbladS
     positive with unit trace, rho0 psi0 = psi0 holds for that projector
     only, and that is what is checked.  The split-step integrator
     (:func:`_grid_channels_once`, on the ring: minimum-image collapse
-    distances, as in the channels) gives the final rho; the halving check
-    compares the final rho of successive step counts, from the scenario's
-    own, until they differ by less than ``GRID_HALVING_TOL``, with at most
-    ``GRID_MAX_REFINE`` step doublings.  The energy channels come from
-    :func:`grid_energy_channels`, and ``seam_mass_max`` is the one the
-    split-step measured.
+    distances, as in the channels) runs the scenario's S steps and 2 S
+    steps, and the final rho of the 2 S run is returned; its
+    ``achieved_halving_error`` is the largest entry difference between
+    the two.  The energy channels come from :func:`grid_energy_channels`,
+    and ``seam_mass_max`` is the one the 2 S run measured.
 
     Raises
     ------
     ValueError
         If ``rho0`` is not the projector onto psi0.
     NumericalFailure
-        At once after a halving comparison, passed or not, whose finer run
-        measured more than ``tolerances.SEAM_MASS`` of the probability at
-        the periodic seam (on the ring a wrapped packet still converges,
-        so only the seam mass shows that the periodic grid is at fault);
-        otherwise when the check still fails at the refinement cap; and
+        First, if the 2 S run measured more than ``tolerances.SEAM_MASS``
+        of the probability at the periodic seam, whatever the halving
+        shows (on the ring a wrapped packet still converges, so only the
+        seam mass shows that the periodic grid is at fault); then if the
+        halving moves the final rho by ``GRID_HALVING_TOL`` or more; and
         when :func:`grid_energy_channels` refuses the run for its seam
         mass.
     """
@@ -705,21 +700,18 @@ def grid_lindblad_channels(rho0: DensityMatrix, scenario: Scenario) -> LindbladS
         raise ValueError("grid evolution requires rho0 = |psi0><psi0|")
 
     rho_c = _grid_channels_once(scenario, steps)[1]
-    for _ in range(GRID_MAX_REFINE):
-        seam2, rho2 = _grid_channels_once(scenario, 2 * steps)
-        scale = max(float(np.abs(rho2).max()), 1.0)
-        err = float(np.abs(rho2 - rho_c).max()) / scale
-        if seam2 > SEAM_MASS:
-            raise NumericalFailure(
-                f"grid evolution not trusted: probability mass {seam2:.3e} "
-                f"reached the periodic seam (limit {SEAM_MASS}) in the split-step; "
-                f"halving at {2 * steps} steps moves the final density "
-                f"matrix by {err:.3e}")
-        if err < GRID_HALVING_TOL:
-            return replace(grid_energy_channels(scenario), final_rho=rho2,
-                           achieved_halving_error=err, seam_mass_max=seam2)
-        rho_c = rho2
-        steps *= 2
-    raise NumericalFailure(
-        f"grid evolution did not converge: halving at {steps} steps "
-        f"still moves the final density matrix by {err:.3e}")
+    seam2, rho2 = _grid_channels_once(scenario, 2 * steps)
+    err = float(np.abs(rho2 - rho_c).max())
+    if seam2 > SEAM_MASS:
+        raise NumericalFailure(
+            f"grid evolution not trusted: probability mass {seam2:.3e} "
+            f"reached the periodic seam (limit {SEAM_MASS}) in the split-step; "
+            f"halving at {2 * steps} steps moves the final density "
+            f"matrix by {err:.3e}")
+    if not err < GRID_HALVING_TOL:
+        raise NumericalFailure(
+            f"grid evolution not converged: {steps} and {2 * steps} steps end "
+            f"{err:.3e} apart in the final density matrix (tolerance "
+            f"{GRID_HALVING_TOL}); raise grid.steps")
+    return replace(grid_energy_channels(scenario), final_rho=rho2,
+                   achieved_halving_error=err, seam_mass_max=seam2)

@@ -141,18 +141,9 @@ def eigendecompose(op: HermitianOperator) -> Spectrum:
     return Spectrum(*np.linalg.eigh(op.matrix))
 
 
-# For the Pade degrees m = 3, 5, 7, 9: the 1-norm bound theta_m below which
-# the degree-m approximant is accurate to double precision, and its
-# coefficients b_0..b_m (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179).
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
-                            25200.0, 1512.0, 56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
-                           302702400.0, 30270240.0, 2162160.0, 110880.0,
-                           3960.0, 90.0, 1.0)),
-)
+# The 1-norm bound theta_13 below which the degree-13 Pade approximant is
+# accurate to double precision, and its coefficients b_0..b_13 (Higham,
+# SIAM J. Matrix Anal. Appl. 26 (2005) 1179).
 _PADE13_THETA = 5.371920351148152
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
@@ -163,26 +154,18 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix by Pade scaling and squaring.
 
-    The algorithm of Higham (2005): the lowest Pade degree whose bound
-    covers the 1-norm of ``m``, otherwise degree 13 on m / 2^s followed by
-    s squarings.  It needs no eigendecomposition, so it serves non-normal
-    and defective matrices alike.
+    The algorithm of Higham (2005) at its one degree that covers every
+    norm: degree 13 on m / 2^s followed by s squarings, with s the least
+    power that brings the 1-norm of ``m`` within theta_13 (s = 0 at or
+    below it, the zero matrix included).  It needs no eigendecomposition,
+    so it serves non-normal and defective matrices alike.
     """
     m = np.asarray(m)
     eye = np.eye(m.shape[0], dtype=m.dtype)
     norm = float(np.abs(m).sum(axis=0).max())
-    m2 = m @ m
-    for theta, b in _PADE:
-        if norm <= theta:
-            evens = [eye, m2]
-            while len(evens) < len(b) // 2:
-                evens.append(evens[-1] @ m2)
-            u = m @ sum(b[2 * j + 1] * p for j, p in enumerate(evens))
-            v = sum(b[2 * j] * p for j, p in enumerate(evens))
-            return np.linalg.solve(v - u, v + u)
-    s = max(0, math.ceil(math.log2(norm / _PADE13_THETA)))
+    s = math.ceil(math.log2(norm / _PADE13_THETA)) if norm > _PADE13_THETA else 0
     m = m / 2.0**s
-    m2 = m2 / 4.0**s
+    m2 = m @ m
     m4 = m2 @ m2
     m6 = m4 @ m2
     b = _PADE13

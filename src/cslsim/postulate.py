@@ -48,12 +48,11 @@ TAIL_FIT_BINS = 12
 
 # A fit is rejected as super-polynomial when the local slope steepens by
 # more than this between the inner and outer halves of the fit window,
-# or when the envelope falls below the measurable range.  The relative
-# floor marks where a tail has dropped so far under the peak (more than
-# twelve orders over less than a decade of x) that no admissible power
-# law can explain it and the samples are transform rounding noise.
+# or when the envelope falls below the relative floor: there the tail has
+# dropped so far under the peak (more than twelve orders over less than a
+# decade of x) that no admissible power law can explain it and the
+# samples are transform rounding noise.
 STEEPENING_LIMIT = 1.5
-ENVELOPE_FLOOR = 1e-280
 RELATIVE_FLOOR = 1e-12
 
 # Moment-scan thresholds: ratios within 1% of 1 mean converged, ratios
@@ -290,7 +289,8 @@ def tail_fit(phi: MomentumState) -> TailFit:
     state must have decayed into its asymptotic regime inside that band,
     which holds for any momentum-windowed state on a grid of the default
     size or larger.  The fit is rejected as non-polynomial when the
-    local slope steepens strongly outward or the envelope underflows.
+    local slope steepens strongly outward or the envelope falls below
+    ``RELATIVE_FLOOR`` times the peak of |Phi|.
     """
     psi = phi.position_wavefunction()
     x = phi.grid.positions
@@ -313,7 +313,7 @@ def tail_fit(phi: MomentumState) -> TailFit:
     if env.size < 6:
         raise NumericalFailure(
             f"tail fit needs more resolution: only {env.size} usable bins")
-    if env.min() < max(ENVELOPE_FLOOR, RELATIVE_FLOOR * float(mags.max())):
+    if env.min() < RELATIVE_FLOOR * float(mags.max()):
         return TailFit(exponent=math.inf, is_polynomial=False,
                        slope_inner=-math.inf, slope_outer=-math.inf)
 

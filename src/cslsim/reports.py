@@ -40,14 +40,7 @@ def write_csv(path: Path, header: Sequence[str],
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(n):
-            cells = []
-            for col in columns:
-                v = col[i]
-                if isinstance(v, (int, np.integer)):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(format_float(v))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(format_float(col[i]) for col in columns) + "\n")
     return path
 
 

@@ -18,9 +18,9 @@ in standard errors where they are made.
 ``SEAM_MASS`` and ``SEAM_MARGIN`` are not rungs but the seam diagnosis:
 ``SEAM_MASS`` bounds the probability within ``SEAM_MARGIN`` points of
 the periodic grid's wrap-around edge.  The grid split-step refuses a run
-whose finer run measured more than that bound, after any halving
-comparison, passed or not; the closed-form grid channels refuse a run
-whose estimated seam mass exceeds it.
+whose finer run measured more than that bound, before it reads its
+halving comparison; the closed-form grid channels refuse a run whose
+estimated seam mass exceeds it.
 """
 
 CONSTRUCTION = 1e-12

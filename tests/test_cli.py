@@ -103,6 +103,24 @@ class TestRunCommand:
         for rel in ("demo_ensemble.json", "demo_series.csv"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
+    def test_a_one_step_ledger_exits_with_the_numerical_status(self, tmp_path,
+                                                                capsys):
+        # The 3-point series is too coarse for the field-energy quadrature.
+        doc = {
+            "kind": "qubit_dephasing",
+            "ensemble": {"n": 200, "mode": "cooked", "master_seed": 7},
+            "params": {"omega": 1.0, "lam": 0.2},
+            "grid": {"t_end": 2.0, "steps": 1},
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["run", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert stderr.startswith("numerical failure: field-energy quadrature "
+                                 "not converged")
+        assert not out.exists()
+
 
 class TestConfigRejection:
     def reject(self, tmp_path, capsys, doc, needle, command="run"):
@@ -306,8 +324,8 @@ class TestLedgerCommand:
         assert "pass" in stdout
 
         table = np.genfromtxt(out / "qd_ledger.csv", delimiter=",", names=True)
-        # The integrator refines the grid, so only the span is pinned.
-        assert table.shape[0] >= 101
+        # The exact propagator steps the span on 2 * steps intervals.
+        assert table.shape[0] == 201
         assert table["t"][0] == 0.0
         assert table["t"][-1] == pytest.approx(1.0, rel=1e-12)
         assert np.all(table["H_w"] == 0.0)

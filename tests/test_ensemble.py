@@ -19,6 +19,7 @@ from cslsim.ensemble import (DensityMatrix, _grid_channels_once, grid_energy_cha
                              lindblad_propagate, run_ensemble)
 from cslsim.errors import LowEffectiveSampleError, NumericalFailure
 from cslsim.hilbert import HermitianOperator, eigenvalue_groups, expm
+from cslsim.ledger import balance_tolerance, build_ledger, conservation_check
 from cslsim.noise import block_increments
 from cslsim.propagation import evolve_batch, make_backend
 from cslsim.scenarios import (PAULI_X, free_particle_grid, qubit_dephasing,
@@ -84,6 +85,14 @@ class TestExpm:
                                          [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(expm(j), scipy.linalg.expm(j), rtol=1e-12)
         np.testing.assert_allclose(expm(j), closed, rtol=1e-14)
+
+    def test_zero_matrix_is_taken_without_scaling(self):
+        # A 1-norm of 0 lies below theta_13, so no log2 of it is taken:
+        # the zero Liouvillian of a lam = 0 two-level scenario (H = 0).
+        assert np.abs(expm(np.zeros((4, 4), dtype=complex)) - np.eye(4)).max() <= 1e-15
+        scenario = two_level_collapse(lam=0.0)
+        ledger = build_ledger(scenario)
+        assert conservation_check(ledger) <= balance_tolerance(scenario)
 
 
 class TestDensityMatrix:

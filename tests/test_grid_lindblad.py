@@ -8,8 +8,8 @@ oracle), a short run against the dense Strang product, and whole runs
 against the two-axis, unwrapped split-step it replaced, which agrees on
 packets whose coherence stays clear of the seam.  The seam guard is
 checked on a packet that stays clear of the wrap-around edge and on one
-that reaches it, and the halving check on the final rho on runs that
-converge only after a refinement or not at all.  The ledger reads its
+that reaches it, and the one halving check on the final rho on a run too
+coarse to pass it.  The ledger reads its
 channels in closed form and never runs the split-step; its seam estimate
 is checked against the mass the split-step measures, and its energy
 against the final rho's where the coherence reaches the seam.
@@ -220,7 +220,11 @@ def test_packet_clear_of_the_seam_converges(monkeypatch):
     series = grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
     assert seen == [32, 64]
     assert 0.0 < series.seam_mass_max < SEAM_MASS
-    assert series.achieved_halving_error < 1e-6
+    # The finer run is returned, with its gap to the coarser one.
+    coarse = ensemble._grid_channels_once(scenario, 32)[1]
+    fine = ensemble._grid_channels_once(scenario, 64)[1]
+    np.testing.assert_array_equal(series.final_rho, fine)
+    assert series.achieved_halving_error == np.abs(fine - coarse).max() < 1e-6
 
 
 def test_mass_at_the_seam_fails_the_first_halving_naming_it(monkeypatch):
@@ -240,46 +244,16 @@ def test_mass_at_the_seam_fails_the_first_halving_naming_it(monkeypatch):
     assert "in the split-step" in str(exc.value)
 
 
-def test_halving_that_converges_after_one_refinement_reports_the_refined_run(monkeypatch):
-    rho0 = DensityMatrix.from_state(seam_probe(16.0).psi0)
-    t_end = seam_probe(16.0).grid.t_end
-
-    def single_halving(steps):
-        # Every halving passes a tolerance of 1, so this is the run at
-        # 2 * steps, checked against the one at steps.
-        with monkeypatch.context() as patch:
-            patch.setattr(ensemble, "GRID_HALVING_TOL", 1.0)
-            return grid_lindblad_channels(rho0, seam_probe(16.0, steps))
-
-    # The halving error falls from about 6.1e-7 (16 against 32 steps) to
-    # about 1.5e-7 (32 against 64), so a tolerance of 3e-7 needs exactly
-    # one refinement.
-    tol = 3e-7
-    assert single_halving(16).achieved_halving_error > tol
-    fine = single_halving(32)
-    assert fine.achieved_halving_error < tol
-
-    monkeypatch.setattr(ensemble, "GRID_HALVING_TOL", tol)
-    seen = spy_step_counts(monkeypatch)
-    series = grid_lindblad_channels(rho0, seam_probe(16.0, 16))
-    assert seen == [16, 32, 64]
-    np.testing.assert_array_equal(series.times, np.arange(65) * (t_end / 64))
-    assert series.sys_energy.size == 65
-    # The accuracy figure is the 32-against-64 comparison, not one against
-    # the first, coarsest run.
-    assert series.achieved_halving_error == fine.achieved_halving_error
-    np.testing.assert_array_equal(series.final_rho, fine.final_rho)
-
-
 def test_a_coarse_final_rho_fails_the_halving_check(monkeypatch):
     # 4 against 8 steps moves the final rho by 9.8e-6, above
     # GRID_HALVING_TOL (1e-6), while the energy channels do not depend on
-    # the step at all.
+    # the step at all.  The one comparison fails; nothing is refined.
     scenario = seam_probe(16.0, steps=4)
-    monkeypatch.setattr(ensemble, "GRID_MAX_REFINE", 1)
     seen = spy_step_counts(monkeypatch)
-    with pytest.raises(NumericalFailure, match=r"did not converge: halving at 8 steps "
-                                               r"still moves the final density matrix"):
+    with pytest.raises(NumericalFailure, match=r"not converged: 4 and 8 steps end "
+                                               r"9\.\d+e-06 apart in the final density "
+                                               r"matrix \(tolerance 1e-06\); raise "
+                                               r"grid\.steps"):
         grid_lindblad_channels(DensityMatrix.from_state(scenario.psi0), scenario)
     assert seen == [4, 8]
 

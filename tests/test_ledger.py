@@ -122,6 +122,16 @@ def test_quadrature_decimation_guard_trips_on_a_coarse_series():
         field_energy_quadrature(scenario, series)
 
 
+def test_a_one_step_series_fails_the_decimation_check():
+    # One step gives a 3-point series.  Its ledger drifts by 7.3e-3 against
+    # a balance tolerance of 1e-6; the decimation check names the cause.
+    scenario = qubit_dephasing(steps=1)
+    assert lindblad_propagate(DensityMatrix.from_state(scenario.psi0),
+                              scenario).times.size == 3
+    with pytest.raises(NumericalFailure, match="field-energy quadrature not converged"):
+        build_ledger(scenario)
+
+
 def test_interaction_check_reports_the_ensemble_estimate():
     stats = run_ensemble(two_level_collapse(t_end=0.5, steps=50),
                          400, "cooked", 61)
