@@ -44,7 +44,7 @@ from .postulate import (CONSERVING_RESIDUAL, VIOLATION_RESIDUAL, MomentumGrid,
                         gaussian_state, make_superposition,
                         moment_divergence_scan, tail_fit)
 from .propagation import GridInfo
-from .reports import (RunManifest, ensemble_report, sha256_digest, write_csv,
+from .reports import (ensemble_report, jsonable, sha256_digest, write_csv,
                       write_json, write_ensemble_series_csv, write_ledger_csv)
 from .scenarios import free_particle_grid, qubit_dephasing, random_dense, two_level_collapse
 from . import acceptance
@@ -292,14 +292,21 @@ def _read_dynamical(path, ensemble_default):
 def _write_outputs(out, prefix, echo, seeds, timings, outputs) -> None:
     """Make the output directory, write each ``(suffix, writer, *data)``
     of ``outputs`` as ``writer(out/<prefix>_<suffix>, *data)``, then the
-    manifest with their digests."""
+    manifest: config echo, version, seeds, wall-clock timings (so the
+    manifest alone is not byte-stable) and each output's sha256 digest."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_echo=echo, seeds=seeds, timings=timings)
+    digests = {}
     for suffix, writer, *data in outputs:
         path = writer(out_dir / f"{prefix}_{suffix}", *data)
-        manifest.outputs[path.name] = sha256_digest(path)
-    manifest.write(out_dir / f"{prefix}_manifest.json")
+        digests[path.name] = sha256_digest(path)
+    write_json(out_dir / f"{prefix}_manifest.json", {
+        "config": jsonable(echo),
+        "code_version": __version__,
+        "seeds": jsonable(seeds),
+        "timings_seconds": {k: round(float(v), 6) for k, v in timings.items()},
+        "outputs": digests,
+    })
 
 
 def cmd_run(args) -> int:
@@ -309,6 +316,14 @@ def cmd_run(args) -> int:
 
     timings = {}
 
+    # The ledger is cheap beside the ensemble, so a refused one fails first.
+    t0 = time.perf_counter()
+    ledger = build_ledger(scenario)
+    timings["ledger"] = time.perf_counter() - t0
+    if args.verbose:
+        print(f"ledger: deviation {conservation_check(ledger):.3e}, "
+              f"{timings['ledger']:.2f}s")
+
     t0 = time.perf_counter()
     stats = run_ensemble(scenario, n, mode, master_seed,
                          record_series=True, threads=args.threads)
@@ -317,13 +332,6 @@ def cmd_run(args) -> int:
         print(f"ensemble: {stats.n_success}/{n} trajectories, "
               f"ESS {stats.effective_sample_size:.1f}, "
               f"{timings['ensemble']:.2f}s")
-
-    t0 = time.perf_counter()
-    ledger = build_ledger(scenario)
-    timings["ledger"] = time.perf_counter() - t0
-    if args.verbose:
-        print(f"ledger: deviation {conservation_check(ledger):.3e}, "
-              f"{timings['ledger']:.2f}s")
 
     # The directory is made only once the numerical work has succeeded.
     outputs = [("ensemble.json", write_json, ensemble_report(stats, echo)),

@@ -1,4 +1,4 @@
-"""Artifact writers: CSV tables, JSON reports, and the run manifest.
+"""Artifact writers: CSV tables and JSON reports.
 
 All numeric CSV fields use 17 significant digits so a written value
 round-trips to the exact float64 that produced it; regression diffs on
@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-
-from . import __version__
 
 # An ensemble report lists its outcomes one by one up to this many, and
 # beyond that only their count.
@@ -124,30 +121,3 @@ def ensemble_report(stats, scenario_echo: Mapping) -> dict:
     else:
         doc["outcome_count"] = int(stats.outcome_values.size)
     return jsonable(doc)
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run and check its outputs.
-
-    The scientific outputs referenced here are byte-stable for a fixed
-    config and seed; the manifest itself carries wall-clock timings and
-    is therefore not.  ``outputs`` maps each output's file name to its
-    sha256 digest; ``code_version`` is the package's ``__version__``.
-    """
-
-    config_echo: dict
-    seeds: dict
-    timings: dict
-    outputs: dict = field(default_factory=dict)
-
-    def write(self, path: Path) -> Path:
-        doc = {
-            "config": jsonable(self.config_echo),
-            "code_version": __version__,
-            "seeds": jsonable(self.seeds),
-            "timings_seconds": {k: round(float(v), 6)
-                                for k, v in self.timings.items()},
-            "outputs": dict(sorted(self.outputs.items())),
-        }
-        return write_json(path, doc)

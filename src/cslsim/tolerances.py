@@ -5,7 +5,9 @@ deterministic statements the code makes:
 
 * construction-time identities (hermiticity, normalization): ``CONSTRUCTION``
 * algebraic identities between exactly representable objects: ``ALGEBRA``
-* deterministic quadrature / integration results: ``QUADRATURE``
+* deterministic quadrature / integration results: ``QUADRATURE``; the
+  energy ledger reads it only through ``ledger.balance_tolerance``, one
+  budget for both its balance and its quadrature's error at every sample
 
 A tolerance that is the contract of one module lives there, next to its
 check: ``ensemble.ESS_FLOOR`` (weighted statistics),

@@ -121,6 +121,54 @@ class TestRunCommand:
                                  "not converged")
         assert not out.exists()
 
+    def test_a_refused_ledger_fails_before_the_ensemble_runs(self, tmp_path,
+                                                              capsys, monkeypatch):
+        # The packet reaches the seam, which the ledger's estimate catches
+        # at a fraction of the ensemble's cost.
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the ledger")
+
+        monkeypatch.setattr("cslsim.cli.run_ensemble", no_ensemble)
+        doc = {
+            "kind": "free_particle_grid",
+            "ensemble": {"n": 1024, "mode": "cooked", "master_seed": 3},
+            "params": {"n_points": 256, "dx": 0.25, "sigma0": 2.0,
+                       "lam": 0.002, "x0": 24.0},
+            "grid": {"t_end": 8.0, "steps": 256},
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["run", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "reached the periodic seam" in stderr
+        assert not out.exists()
+
+
+# random_dense(1, dim=2, lam=0.3, t_end=8, steps=96): a quadrature error
+# of 2.987e-5 against a budget of 2.864e-6, which the ledger's total would
+# show as a drift.
+UNRESOLVED_QUADRATURE = {
+    "kind": "random_matrix",
+    "ensemble": {"n": 10, "mode": "cooked", "master_seed": 5},
+    "params": {"seed": 1, "dim": 2, "lam": 0.3},
+    "grid": {"t_end": 8.0, "steps": 96},
+}
+
+
+@pytest.mark.parametrize("command", ["ledger", "run"])
+def test_an_unresolved_quadrature_is_not_reported_as_drift(tmp_path, capsys,
+                                                           command):
+    cfg = write_config(tmp_path, UNRESOLVED_QUADRATURE)
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(
+        [command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == EXIT_NUMERICAL
+    assert stderr.startswith("numerical failure: field-energy quadrature "
+                             "not converged")
+    assert "drifts" not in stderr
+    assert not out.exists()
+
 
 class TestConfigRejection:
     def reject(self, tmp_path, capsys, doc, needle, command="run"):

@@ -140,7 +140,8 @@ UNREAD_MEMBERS = {
 def test_every_public_member_is_read_outside_its_class():
     """A public method or dataclass field is read, as an attribute load,
     outside its own class, or inside one of the class's methods that is
-    itself so read (``RunManifest.write`` reads the manifest's fields).
+    itself so read (a ``write`` method that serializes its record reads
+    the record's fields).
     Loads match by attribute name: a receiver has no static type here."""
     modules = [parse(path) for path in SOURCES]
     loads = Counter()

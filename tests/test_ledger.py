@@ -5,6 +5,8 @@ and a quadrature); their sum staying constant is the headline check,
 exercised here on closed-form scenarios and random dense ones.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import interaction_picture, rotating_expectation
@@ -13,7 +15,7 @@ from cslsim.ensemble import (DensityMatrix, grid_energy_channels, lindblad_propa
                              run_ensemble)
 from cslsim.errors import NumericalFailure
 from cslsim.hilbert import HermitianOperator, double_commutator
-from cslsim.ledger import (build_ledger, conservation_check,
+from cslsim.ledger import (balance_tolerance, build_ledger, conservation_check,
                            field_energy_quadrature, observable_drift)
 from cslsim.scenarios import (free_particle_grid, qubit_dephasing,
                               random_dense, random_hermitian,
@@ -130,6 +132,57 @@ def test_a_one_step_series_fails_the_decimation_check():
                               scenario).times.size == 3
     with pytest.raises(NumericalFailure, match="field-energy quadrature not converged"):
         build_ledger(scenario)
+
+
+def test_an_even_length_coarse_series_is_refused():
+    # The 17-point series above without its last sample: no sample is
+    # left unchecked for the parity of the series.
+    scenario = qubit_dephasing(lam=0.2, t_end=2.0, steps=8)
+    series = lindblad_propagate(DensityMatrix.from_state(scenario.psi0), scenario)
+    cut = replace(series, times=series.times[:-1], rhos=series.rhos[:-1],
+                  sys_energy=series.sys_energy[:-1], dc_trace=series.dc_trace[:-1])
+    assert cut.times.size == 16
+    with pytest.raises(NumericalFailure, match="not converged"):
+        field_energy_quadrature(scenario, cut)
+
+
+@pytest.mark.parametrize("seed,lam", [(3264303175, 0.8661978255403264),
+                                      (3816388066, 0.5490302005334081)])
+def test_a_resolved_quadrature_builds_a_balanced_ledger(seed, lam):
+    """Decimation estimates an error of 2.7 % and 1.4 % of the budget here."""
+    scenario = random_dense(seed, dim=8, lam=lam, t_end=2.0, steps=512)
+    assert conservation_check(build_ledger(scenario)) <= balance_tolerance(scenario)
+
+
+def test_an_unresolved_quadrature_is_refused_under_its_name():
+    # The ledger would drift by 2.985e-5 against a budget of 2.864e-6; the
+    # decimation estimate is 2.987e-5, so all of it is quadrature error.
+    scenario = random_dense(1, dim=2, lam=0.3, t_end=8.0, steps=96)
+    with pytest.raises(NumericalFailure, match="field-energy quadrature not converged"):
+        build_ledger(scenario)
+
+
+# (steps, lam, t_end, seed, dim) of random dense ledgers whose total drifts
+# beyond budget, by their quadrature's error.
+DRIFTING_LEDGERS = [
+    (96, 0.3, 8, 1, 2), (96, 0.3, 8, 1, 8), (128, 0.3, 8, 1, 2),
+    (128, 0.3, 8, 1, 8), (192, 0.3, 8, 1, 2), (192, 1, 8, 1, 8),
+    (256, 0.3, 8, 1, 2), (256, 3, 0.5, 2, 2), (384, 0.3, 8, 2, 2),
+    (384, 1, 2, 2, 2), (384, 3, 0.5, 2, 2), (512, 0.3, 8, 2, 2),
+    (512, 1, 2, 2, 2), (512, 3, 2, 2, 2), (1024, 1, 8, 2, 2),
+    (1024, 3, 2, 2, 2), (1024, 3, 8, 1, 2), (1024, 3, 8, 2, 2),
+]
+
+
+@pytest.mark.parametrize("steps,lam,t_end,seed,dim", DRIFTING_LEDGERS)
+def test_a_built_ledger_balances(steps, lam, t_end, seed, dim):
+    scenario = random_dense(seed, dim=dim, lam=lam, t_end=float(t_end), steps=steps)
+    try:
+        ledger = build_ledger(scenario)
+    except NumericalFailure as exc:
+        assert str(exc).startswith("field-energy quadrature not converged")
+    else:
+        assert conservation_check(ledger) <= balance_tolerance(scenario)
 
 
 def test_interaction_check_reports_the_ensemble_estimate():
