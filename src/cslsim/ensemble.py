@@ -232,7 +232,7 @@ def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, rows,
     ok, weights, group, v, f, states = (None if a is None else a[lo:hi] for a in rows)
     grid = scenario.grid
     params = scenario.params
-    draws = block_increments(grid, params, master_seed, np.arange(lo, hi))
+    draws = block_increments(grid, params, master_seed, lo, hi)
     batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                          mode=mode, record_series=series is not None,
                          with_field_energy=f is not None)
@@ -274,8 +274,11 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
         raw paths from the Gaussian proposal, weighted by the reduced
         norm squared.
     master_seed : int
-        Trajectory ``i`` always uses the stream derived from
-        ``(master_seed, i)``; results do not depend on ``threads``.
+        Trajectory ``i`` draws row ``i % 64`` of the stream of block
+        ``i // 64``, seeded by ``SeedSequence(master_seed,
+        spawn_key=(i // 64,))`` (see :mod:`cslsim.noise`); its draws
+        depend only on ``(master_seed, i)``, so results do not depend on
+        ``threads``.
     record_series : bool
         Accumulate weighted time series of <A> and <H>.
     keep_final_states : bool

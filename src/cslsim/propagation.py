@@ -375,9 +375,10 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
 
     ``draws`` may have any memory order; step k reads its column k, which
     is contiguous when it is the transposed view of a step-major (S, B)
-    array, as :func:`cslsim.noise.block_increments` returns.  The results
-    do not depend on the order.  Raw draws in that order are read in
-    place, never written: the result's ``w`` is then a view of them.
+    array, as :func:`cslsim.noise.block_increments` returns for the B
+    trajectories ``lo`` .. ``hi - 1``.  The results do not depend on the
+    order.  Raw draws in that order are read in place, never written: the
+    result's ``w`` is then a view of them.
 
     Notes
     -----

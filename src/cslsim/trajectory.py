@@ -83,8 +83,9 @@ def evolve(scenario: Scenario, master_seed: int, index: int) -> TrajectoryResult
     """Replay cooked trajectory ``index`` of
     ``run_ensemble(scenario, n, "cooked", master_seed)``.
 
-    The increments are the ensemble's own (:func:`block_increments` on the
-    one index), run through the kernel as a one-row batch.  On the grid
+    The increments are the ensemble's own: :func:`block_increments` draws
+    the block of 64 trajectories that holds ``index`` and keeps its row,
+    which is run through the kernel as a one-row batch.  On the grid
     the final state equals the kept state of the ensemble bit for bit; on
     a dense scenario the one-row matrix products round differently, so it
     agrees to rounding.
@@ -96,7 +97,7 @@ def evolve(scenario: Scenario, master_seed: int, index: int) -> TrajectoryResult
     """
     grid = scenario.grid
     backend = make_backend(scenario, grid.dt)
-    draws = block_increments(grid, scenario.params, master_seed, np.array([index]))
+    draws = block_increments(grid, scenario.params, master_seed, index, index + 1)
     batch = evolve_batch(backend, grid, scenario.params, scenario.psi0.amplitudes,
                          draws, mode="cooked")
     if batch.failed[0]:

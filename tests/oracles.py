@@ -13,9 +13,10 @@ differentiates.  Eigenvalue grouping is checked against its earlier
 loop, and the collapse residual against its two cross elements computed
 apart by the generating-function overlaps.
 
-The per-trajectory noise stream is the reference that the ensemble's
-block draws match bit for bit, and a field path of given values runs
-through the kernel as a one-row batch.
+The per-block noise stream, drawn whole in one call, is the reference
+that the ensemble's tiled draws over any range of trajectories match bit
+for bit, and a field path of given values runs through the kernel as a
+one-row batch.
 
 The rest are oracles the package itself has no use for: the
 interaction-picture rotation, the inverse momentum transform, the
@@ -37,10 +38,13 @@ from cslsim.propagation import evolve_batch, make_backend
 
 def trajectory_increments(grid, params, master_seed, index):
     """The zero-mean part of the path of trajectory ``index`` at
-    ``master_seed``: one vectorized draw of S values ~ Normal(0, lam/dt)
-    from its own ``SeedSequence(master_seed, spawn_key=(index,))``."""
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
-    return rng.standard_normal(grid.steps) * np.sqrt(params.lam / grid.dt)
+    ``master_seed``: row ``index % 64`` of the (64, S) normals that block
+    ``index // 64`` draws in one call from its own
+    ``SeedSequence(master_seed, spawn_key=(index // 64,))``, times
+    sqrt(lam/dt)."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(index // 64,))
+    block = np.random.default_rng(seq).standard_normal((64, grid.steps))
+    return block[index % 64] * np.sqrt(params.lam / grid.dt)
 
 
 def run_path(scenario, values, *, record_series=False, with_field_energy=False):

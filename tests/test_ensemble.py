@@ -378,9 +378,9 @@ def fail_rows(monkeypatch, rows):
     local = threading.local()
     real_draws, real_evolve = ensemble.block_increments, ensemble.evolve_batch
 
-    def draws(grid, params, master_seed, indices):
-        local.indices = indices
-        return real_draws(grid, params, master_seed, indices)
+    def draws(grid, params, master_seed, lo, hi):
+        local.indices = np.arange(lo, hi)
+        return real_draws(grid, params, master_seed, lo, hi)
 
     def evolve_batch(*args, **kwargs):
         batch = real_evolve(*args, **kwargs)
@@ -422,9 +422,10 @@ class TestChunksAndKeptStates:
         groups, values = eigenvalue_groups(backend.coupling_values)
         want_s, want_w, want_g, want_v = [], [], [], []
         for lo in range(0, n, chunk):
-            indices = np.arange(lo, min(lo + chunk, n))
+            hi = min(lo + chunk, n)
+            indices = np.arange(lo, hi)
             batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
-                                 block_increments(grid, params, 3, indices), mode="raw")
+                                 block_increments(grid, params, 3, lo, hi), mode="raw")
             keep = ~np.isin(indices, failed)
             pops, states = backend.read_out(batch.final_internal)
             want_s.append(states[keep])
@@ -464,6 +465,17 @@ class TestChunksAndKeptStates:
             assert np.shares_memory(states[lo:hi], stats.final_states)
             assert np.shares_memory(weights[lo:hi], stats.final_weights)
             assert np.array_equal(states[lo:hi], stats.final_states[lo:hi])
+
+    def test_replay_of_a_row_in_a_blocks_second_chunk_is_the_kept_state(self):
+        # Chunks of 32 rows split each 64-trajectory noise block in two:
+        # chunk 96 .. 127 draws and discards rows 64 .. 95 of block 1, and
+        # the replay of row 100 draws rows 64 .. 100 alone.
+        scenario = free_particle_grid(**self.GRID)
+        assert ensemble._chunk_size(scenario.dim) == 32
+        stats = run_ensemble(scenario, 128, "cooked", 21, keep_final_states=True,
+                             threads=2)
+        one = evolve(scenario, 21, 100)
+        assert np.array_equal(one.final_state.amplitudes, stats.final_states[100])
 
     def test_workers_fill_their_own_rows_under_frequent_switches(self):
         # More workers than cores, switching threads every microsecond: a

@@ -105,7 +105,7 @@ def test_raw_kernel_reads_step_major_draws_in_place():
     scenario = qubit_dephasing(t_end=1.0, steps=20)
     grid, params = scenario.grid, scenario.params
     backend = make_backend(scenario, grid.dt)
-    draws = block_increments(grid, params, 6, np.arange(7))
+    draws = block_increments(grid, params, 6, 0, 7)
     before = draws.copy()
     batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                          mode="raw", with_field_energy=True)
@@ -197,7 +197,7 @@ def test_grid_interaction_of_a_row_does_not_depend_on_the_batch():
     scenario = free_particle_grid(n_points=1024, dx=0.25, sigma0=2.0, t_end=0.25, steps=8)
     grid, params = scenario.grid, scenario.params
     backend = make_backend(scenario, grid.dt)
-    draws = block_increments(grid, params, 14, np.arange(256))
+    draws = block_increments(grid, params, 14, 0, 256)
 
     def run(rows):
         return evolve_batch(backend, grid, params, scenario.psi0.amplitudes, rows,
@@ -307,7 +307,7 @@ def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
     oracle = RowMajorSpectral(scenario.hamiltonian, scenario.collapse_op, grid.dt,
                               params.hbar)
     # 300 rows: not a multiple of any BLAS blocking.
-    draws = block_increments(grid, params, 9, np.arange(300))
+    draws = block_increments(grid, params, 9, 0, 300)
     got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                        mode="cooked", record_series=True, with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes,
@@ -329,7 +329,7 @@ def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit(master_s
     backend = make_backend(scenario, grid.dt)
     oracle = RowMajorSpectral(scenario.hamiltonian, scenario.collapse_op, grid.dt,
                               params.hbar)
-    draws = block_increments(grid, params, master_seed, np.arange(300))
+    draws = block_increments(grid, params, master_seed, 0, 300)
     got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                        mode="raw", with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes, mode="raw",
@@ -363,7 +363,7 @@ def test_field_energy_of_a_row_does_not_depend_on_the_batch(kind, mode):
                                       t_end=0.5, steps=16)
     grid, params = scenario.grid, scenario.params
     backend = make_backend(scenario, grid.dt)
-    draws = block_increments(grid, params, 11, np.arange(300))
+    draws = block_increments(grid, params, 11, 0, 300)
 
     def run(rows):
         return evolve_batch(backend, grid, params, scenario.psi0.amplitudes, rows,
