@@ -52,6 +52,7 @@ import functools
 import glob
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -219,9 +220,10 @@ def _mean_se(total: float, total2: float, n: int) -> tuple:
     return mean, math.sqrt(max(total2 / n - mean**2, 0.0) / n)
 
 
-def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, rows,
-               series):
-    """Propagate trajectories ``lo`` .. ``hi - 1`` and write their results
+def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, buffer,
+               rows, series):
+    """Propagate trajectories ``lo`` .. ``hi - 1``, drawing their increments
+    into the front of the flat float64 ``buffer``, and write their results
     into rows ``lo:hi`` of the run's per-trajectory arrays ``rows``
     (survived, weight, outcome group, interaction term, field-energy term
     or None, kept state or None) and, when series are recorded, the chunk
@@ -232,7 +234,7 @@ def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, rows,
     ok, weights, group, v, f, states = (None if a is None else a[lo:hi] for a in rows)
     grid = scenario.grid
     params = scenario.params
-    draws = block_increments(grid, params, master_seed, lo, hi)
+    draws = block_increments(grid, params, master_seed, lo, hi, out=buffer)
     batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                          mode=mode, record_series=series is not None,
                          with_field_energy=f is not None)
@@ -251,9 +253,12 @@ def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, rows,
     if series is not None:
         # The series are held step-major, (S+1, B) in memory, so each
         # time's weighted sum over trajectories is one dot product along a
-        # contiguous row.
-        wt = (np.where(ok, np.exp(batch.log_red_series.T), 0.0) if mode == "raw"
-              else ok.astype(float))
+        # contiguous row.  Raw weights overwrite the kernel's log-norm series.
+        if mode == "raw":
+            wt = np.exp(batch.log_red_series.T, out=batch.log_red_series.T)
+            wt[:, ~ok] = 0.0
+        else:
+            wt = ok.astype(float)
         series[0] = wt.sum(axis=-1)
         series[1] = np.vecdot(wt, batch.series_expA.T)
         series[2] = np.vecdot(wt, batch.series_expH.T)
@@ -317,13 +322,25 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
             if keep_final_states else None)
     series = (np.empty((len(bounds), 3, scenario.grid.steps + 1))
               if record_series else None)
+    # One increments buffer per worker, sized for the largest chunk and
+    # allocated here: a chunk takes one, draws into its front and hands it
+    # back, so a run holds min(threads, chunks) of them however many
+    # chunks it has.
+    workers = min(threads, len(bounds))
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(scenario.grid.steps * min(chunk, n)))
 
     def work(c):
-        _run_chunk(backend, scenario, *bounds[c], mode, master_seed, groups[:, 0],
-                   rows, None if series is None else series[c])
+        buffer = buffers.get()
+        try:
+            _run_chunk(backend, scenario, *bounds[c], mode, master_seed, groups[:, 0],
+                       buffer, rows, None if series is None else series[c])
+        finally:
+            buffers.put(buffer)
 
-    if threads > 1 and len(bounds) > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(len(bounds))))
     else:
         for c in range(len(bounds)):

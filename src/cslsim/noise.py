@@ -22,11 +22,16 @@ indices (``_BLOCK``).  Block ``b`` draws from one PCG64 generator,
 draws of a trajectory therefore depend only on ``(master_seed, index)``,
 not on how trajectories are batched across workers, and any trajectory
 of an ensemble can be replayed on its own by drawing its block.
+
+Memory: ``block_increments`` draws into a new array, or into the front of
+a caller's flat buffer (``out=``), so that an ensemble worker can reuse
+one buffer for every chunk it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +93,7 @@ _TILE_BYTES = 1 << 16
 
 
 def block_increments(grid: TimeGrid, params: CollapseParams, master_seed: int,
-                     lo: int, hi: int) -> np.ndarray:
+                     lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The zero-mean parts of the paths of trajectories ``lo`` .. ``hi - 1``,
     shape (hi - lo, S), held step-major: the result is the transposed view
     of a C-order (S, hi - lo) array, so the draws of one step are
@@ -102,15 +107,22 @@ def block_increments(grid: TimeGrid, params: CollapseParams, master_seed: int,
     a block stops drawing at ``hi``, so a row's draws do not depend on the
     range it is drawn in.
 
+    With ``out``, a contiguous 1-D float64 buffer of at least
+    S * (hi - lo) entries, the draws fill its first S * (hi - lo) entries
+    and the result is a view of them; the rest of the buffer is left as it
+    is.  Without it they go into a new array.
+
     Raises
     ------
     ValueError
-        If ``master_seed`` is negative or not ``0 <= lo <= hi``.
+        If ``master_seed`` is negative, not ``0 <= lo <= hi``, or ``out``
+        holds fewer than S * (hi - lo) entries.
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    size = grid.steps * (hi - lo)
+    draws = (np.empty(size) if out is None else out[:size]).reshape(grid.steps, hi - lo)
     sigma = np.sqrt(params.lam / grid.dt)
-    draws = np.empty((grid.steps, hi - lo))
     tile = np.empty((min(_BLOCK, max(1, _TILE_BYTES // (8 * grid.steps))), grid.steps))
     for first in range(lo - lo % _BLOCK, hi, _BLOCK):
         rng = np.random.default_rng(

@@ -182,8 +182,9 @@ class SpectralBackend:
         return self._product(c, self._g_coupling.T)
 
     @staticmethod
-    def _expect(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return np.einsum("bi,bi->b", c.conj(), c @ m.T).real
+    def _expect(bra: np.ndarray, c: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """<c|m|c> per trajectory, with ``bra`` the conjugate of ``c``."""
+        return np.einsum("bi,bi->b", bra, c @ m.T).real
 
     def advance(self, c: np.ndarray, *, transfer: bool = True, coupling: bool = True,
                 energy: bool = False) -> tuple:
@@ -196,8 +197,9 @@ class SpectralBackend:
         the <H> when ``energy`` is set; moments not asked for are None.
         With ``transfer`` set, ``c`` is overwritten by the returned state.
         """
-        mean_a = self._expect(c, self._a_plus) if coupling else None
-        mean_h = self._expect(c, self._h_tilde) if energy else None
+        bra = c.conj() if coupling or energy else None
+        mean_a = self._expect(bra, c, self._a_plus) if coupling else None
+        mean_h = self._expect(bra, c, self._h_tilde) if energy else None
         if transfer:
             self._product(c, self._g.T, out=c)
         return c, mean_a, mean_h
@@ -313,6 +315,7 @@ class BatchResult:
 
     States are kept normalized; ``log_red`` accumulates the log squared
     norm of the reduced propagator (the importance weight in raw mode).
+    ``log_red_series`` is recorded in raw mode only: cooked weights are 1.
     ``interaction`` is the terminal interaction functional
     w_T <A> - 2 lam <A^2> in the final state, unweighted, and
     ``field_energy`` the per-trajectory field-energy estimator
@@ -322,7 +325,9 @@ class BatchResult:
     ``final_internal`` is in the backend's order (``backend.empty``):
     trajectory axis contiguous on the dense backend, grid axis contiguous
     on the grid.  ``w`` and the series are transposed views of step-major
-    (S, B) and (S+1, B) arrays.
+    (S, B) and (S+1, B) arrays; ``w`` views the caller's ``draws`` when
+    they are step-major (always in cooked mode, which writes the field
+    values over them).
     """
 
     final_internal: np.ndarray          # (B, d) normalized
@@ -330,7 +335,7 @@ class BatchResult:
     w: np.ndarray                       # (B, S) realized field values
     failed: np.ndarray                  # (B,) bool
     interaction: np.ndarray             # (B,)
-    log_red_series: Optional[np.ndarray] = None   # (B, S+1)
+    log_red_series: Optional[np.ndarray] = None   # (B, S+1), raw mode only
     series_expA: Optional[np.ndarray] = None      # (B, S+1)
     series_expH: Optional[np.ndarray] = None      # (B, S+1)
     field_energy: Optional[np.ndarray] = None     # (B,)
@@ -364,11 +369,12 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     backend : SpectralBackend or GridBackend
     grid, params : discretization and collapse parameters
     psi0 : (d,) normalized initial amplitudes shared by the batch
-    draws : (B, S) standardized zero-mean increments in cooked mode, the
-        field values themselves in raw mode
+    draws : (B, S) zero-mean increments in cooked mode, the field values
+        themselves in raw mode
     mode : "cooked" (state-dependent drift 2 lam <A> added to ``draws``)
         or "raw" (``draws`` used verbatim)
-    record_series : record per-step coupling mean and <H>
+    record_series : record per-step coupling mean and <H>, and in raw mode
+        the log-norm series
     with_field_energy : also carry the field-energy vector eta forward
         beside the state and give the estimator in ``field_energy``; with
         one step there is no field jump and the estimator is zero
@@ -377,8 +383,11 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     is contiguous when it is the transposed view of a step-major (S, B)
     array, as :func:`cslsim.noise.block_increments` returns for the B
     trajectories ``lo`` .. ``hi - 1``.  The results do not depend on the
-    order.  Raw draws in that order are read in place, never written: the
-    result's ``w`` is then a view of them.
+    order.  Cooked mode consumes ``draws``, which must then be a writable
+    float64 array: each step's field value overwrites the increment it
+    reads, so after the call ``draws`` holds the field values and the
+    result's ``w`` is a view of it.  Raw draws are never written; in that
+    order they are read in place and ``w`` is a view of them too.
 
     Notes
     -----
@@ -398,8 +407,11 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     docstring): on the grid two more transforms transfer it and four give
     G A+ c_k (``backend.transfer_coupling``), taken before c_k moves on.
 
-    Failed rows (exponent overflow or total underflow) are flagged, not
-    raised; the ensemble layer decides how many failures are tolerable.
+    Failed rows are flagged, not raised; the ensemble layer decides how
+    many failures are tolerable.  A row fails when its step exponent
+    exceeds ``EXP_LIMIT / 2`` (the squared norm doubles the exponent, so
+    it would overflow from about 354.9; the row's step is then skipped)
+    or when its squared norm underflows to zero.
     """
     s = grid.steps
     dt = grid.dt
@@ -425,8 +437,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     failed = np.zeros(b, dtype=bool)
     # Step-major: row k - 1 holds the field values of step k.
     if cooked:
-        inc = draws.T
-        w_steps = np.empty((s, b))
+        # Each step's field value overwrites the increment it reads.
+        w_steps = draws.T
     else:
         # Read in place when step-major already; raw mode never writes it.
         w_steps = np.ascontiguousarray(draws.T, dtype=float)
@@ -436,19 +448,19 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     eta = np.zeros_like(c) if with_field_energy else None
     coupled = None
 
+    log_series = np.zeros((s + 1, b)) if record_series and not cooked else None
     if record_series:
-        log_series = np.zeros((s + 1, b))
         exp_a = np.empty((s + 1, b))
         exp_h = np.empty((s + 1, b))
         exp_a[0] = mean_a
         exp_h[0] = mean_h
     else:
-        log_series = exp_a = exp_h = None
+        exp_a = exp_h = None
 
     for k in range(1, s + 1):
         wk = w_steps[k - 1]
         if cooked:
-            np.add(2.0 * lam * mean_a, inc[k - 1], out=wk)
+            np.add(2.0 * lam * mean_a, wk, out=wk)
         if coupled is not None:
             coupled *= (wk - w_steps[k - 2])[:, None]
             eta += coupled
@@ -456,8 +468,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         _step_exponent(wk, a, damp, dt, expo)
         # One max over the whole block is far cheaper than a reduction
         # along the short state axis; rows are located only on overflow.
-        if expo.max() > EXP_LIMIT:
-            bad = expo.max(axis=1) > EXP_LIMIT
+        if expo.max() > EXP_LIMIT / 2:
+            bad = expo.max(axis=1) > EXP_LIMIT / 2
             failed |= bad
             expo[bad] = 0.0
         c *= np.exp(expo, out=expo)
@@ -484,7 +496,8 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
                 c, transfer=not last, coupling=record_series or cooked,
                 energy=record_series)
             if record_series:
-                log_series[k] = log_red
+                if log_series is not None:
+                    log_series[k] = log_red
                 exp_a[k] = mean_a
                 exp_h[k] = mean_h
 

@@ -105,5 +105,5 @@ def evolve(scenario: Scenario, master_seed: int, index: int) -> TrajectoryResult
             "trajectory left the floating range; largest |w| = "
             f"{np.abs(batch.w[0]).max():.4g} over {grid.steps} steps")
     populations, psi_lab = backend.read_out(batch.final_internal)
-    return TrajectoryResult(w=batch.w[0].copy(), final_state=StateVector(psi_lab[0]),
+    return TrajectoryResult(w=batch.w[0], final_state=StateVector(psi_lab[0]),
                             coupling_populations=populations[0])

@@ -366,6 +366,9 @@ def row_major_evolve(backend, grid, params, psi0, *, mode, draws,
                log_red_series=log_series, series_expA=exp_a, series_expH=exp_h)
     if with_field_energy:
         out["field_energy"] = row_major_field_energy(backend, grid, params, out, states)
+    # The kernel gives the log-norm series with the series, in raw mode only.
+    if not record_series or cooked:
+        out["log_red_series"] = None
     return out
 
 

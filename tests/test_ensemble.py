@@ -378,9 +378,9 @@ def fail_rows(monkeypatch, rows):
     local = threading.local()
     real_draws, real_evolve = ensemble.block_increments, ensemble.evolve_batch
 
-    def draws(grid, params, master_seed, lo, hi):
+    def draws(grid, params, master_seed, lo, hi, out=None):
         local.indices = np.arange(lo, hi)
-        return real_draws(grid, params, master_seed, lo, hi)
+        return real_draws(grid, params, master_seed, lo, hi, out=out)
 
     def evolve_batch(*args, **kwargs):
         batch = real_evolve(*args, **kwargs)
@@ -505,6 +505,24 @@ class TestChunksAndKeptStates:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * stats.final_states.nbytes
+
+    def test_a_pooled_run_holds_one_increments_buffer_per_worker(self):
+        # Two chunks of 4096 trajectories over 400 steps on two workers:
+        # each worker's chunk holds one (400, 4096) array, its increments,
+        # which the cooked field values overwrite.  A chunk that drew its
+        # own increments and wrote its field values into a second array,
+        # with a log-norm series beside them, peaked at 2.06 arrays per
+        # worker.
+        scenario = two_level_collapse(t_end=2.0, steps=400)
+        threads, per_step = 2, scenario.grid.steps * ensemble._chunk_size(2) * 8
+        tracemalloc.start()
+        try:
+            stats = run_ensemble(scenario, 8192, "cooked", 5, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.n_success == 8192
+        assert peak < 1.25 * threads * per_step
 
 
 @pytest.fixture

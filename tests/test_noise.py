@@ -102,6 +102,27 @@ class TestBlockIncrements:
         block = block_increments(grid, self.PARAMS, 17, lo, hi)
         assert np.array_equal(block, stream_rows(grid, self.PARAMS, 17, lo, hi))
 
+    @pytest.mark.parametrize("steps", [24, 900])
+    def test_a_reused_buffer_holds_the_fresh_draws_bit_for_bit(self, steps):
+        # One buffer of 100 rows for the chunks of 30 .. 349, as an ensemble
+        # worker reuses it: ragged starts, and a last chunk of 20 rows.
+        grid = TimeGrid(1.5, steps)
+        buffer = np.full(steps * 100, np.nan)
+        for lo in range(30, 350, 100):
+            hi = min(lo + 100, 350)
+            drawn = block_increments(grid, self.PARAMS, 17, lo, hi, out=buffer)
+            assert np.shares_memory(drawn, buffer) and drawn.T.flags.c_contiguous
+            assert np.array_equal(drawn, block_increments(grid, self.PARAMS, 17, lo, hi))
+        # A partial chunk writes only the front of the buffer.
+        buffer[:] = np.nan
+        block_increments(grid, self.PARAMS, 17, 330, 350, out=buffer)
+        assert not np.isnan(buffer[:steps * 20]).any()
+        assert np.isnan(buffer[steps * 20:]).all()
+
+    def test_a_buffer_too_small_is_refused(self):
+        with pytest.raises(ValueError):
+            block_increments(self.GRID, self.PARAMS, 3, 0, 4, out=np.empty(24 * 4 - 1))
+
     def test_adjacent_ranges_concatenate_to_one_range(self):
         whole = block_increments(self.GRID, self.PARAMS, 8, 10, 301)
         parts = [block_increments(self.GRID, self.PARAMS, 8, lo, hi)

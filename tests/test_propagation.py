@@ -32,6 +32,12 @@ BATCH_FIELDS = ("final_internal", "log_red", "w", "failed", "interaction",
                 "log_red_series", "series_expA", "series_expH", "field_energy")
 
 
+def step_major_copy(draws):
+    """A copy of the (B, S) ``draws`` held step-major, as
+    :func:`block_increments` holds them."""
+    return draws.T.copy().T
+
+
 def random_states(rng, b, d):
     c = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
     return c / np.linalg.norm(c, axis=1, keepdims=True)
@@ -147,6 +153,40 @@ def test_kernel_flags_rows_that_leave_the_floating_range():
         evolve(two_level_collapse(lam=1e4, t_end=1.0, steps=1), 0, 0)
 
 
+@pytest.mark.parametrize("step", [3, 1], ids=["last-step", "inner-step"])
+@pytest.mark.parametrize("exponent", [500.0, 800.0])
+def test_a_step_whose_squared_norm_overflows_is_flagged(step, exponent):
+    # Upper level a = +1, lam = 1, dt = 1/4: the step exponent dt (w - lam)
+    # is ``exponent`` at w = exponent / dt + lam.  The squared norm doubles
+    # the exponent, so it overflows from about 354.9, below EXP_LIMIT.
+    scenario = two_level_collapse(t_end=1.0, steps=4)
+    grid, params = scenario.grid, scenario.params
+    w = np.zeros((2, 4))
+    w[1, step] = exponent / grid.dt + params.lam
+    backend = make_backend(scenario, grid.dt)
+    batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, w, mode="raw")
+    assert batch.failed.tolist() == [False, True]
+    for out in (batch.final_internal, batch.log_red, batch.interaction):
+        assert np.isfinite(out).all()
+    np.testing.assert_allclose(backend.norm2(batch.final_internal), 1.0, rtol=1e-14)
+
+
+def test_cooked_field_values_overwrite_the_increments():
+    # The grid's rows do not depend on the batch, so each row's field
+    # values are those of its replay bit for bit.
+    scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                  t_end=0.5, steps=16)
+    grid, params = scenario.grid, scenario.params
+    draws = block_increments(grid, params, 21, 0, 70)
+    increments = draws.copy()
+    batch = evolve_batch(make_backend(scenario, grid.dt), grid, params,
+                         scenario.psi0.amplitudes, draws, mode="cooked")
+    assert np.shares_memory(batch.w, draws) and batch.w.shape == (70, 16)
+    assert np.array_equal(batch.w, draws) and not np.array_equal(draws, increments)
+    for i in (0, 63, 64, 69):
+        assert np.array_equal(batch.w[i], evolve(scenario, 21, i).w), i
+
+
 def test_flagging_one_row_leaves_the_others_bit_identical():
     scenario = random_dense(6, steps=32)
     backend = make_backend(scenario, scenario.grid.dt)
@@ -200,8 +240,9 @@ def test_grid_interaction_of_a_row_does_not_depend_on_the_batch():
     draws = block_increments(grid, params, 14, 0, 256)
 
     def run(rows):
-        return evolve_batch(backend, grid, params, scenario.psi0.amplitudes, rows,
-                            mode="cooked")
+        # Cooked mode consumes its draws: run each on a step-major copy.
+        return evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
+                            step_major_copy(rows), mode="cooked")
 
     batch = run(draws)
     for i in range(0, 256, 15):
@@ -308,12 +349,16 @@ def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
                               params.hbar)
     # 300 rows: not a multiple of any BLAS blocking.
     draws = block_increments(grid, params, 9, 0, 300)
+    # Taken first: the cooked kernel writes its field values over ``draws``.
+    increments = np.ascontiguousarray(draws)
     got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
                        mode="cooked", record_series=True, with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes,
-                            mode="cooked", draws=np.ascontiguousarray(draws),
+                            mode="cooked", draws=increments,
                             record_series=True, with_field_energy=True)
     assert_field_energy_matches(got.field_energy, want.pop("field_energy"))
+    # Cooked weights are 1, so no log-norm series is recorded.
+    assert got.log_red_series is None and want.pop("log_red_series") is None
     for name, value in want.items():
         assert np.array_equal(getattr(got, name), value), name
     for ours, theirs in zip(backend.read_out(got.final_internal),
@@ -366,7 +411,8 @@ def test_field_energy_of_a_row_does_not_depend_on_the_batch(kind, mode):
     draws = block_increments(grid, params, 11, 0, 300)
 
     def run(rows):
-        return evolve_batch(backend, grid, params, scenario.psi0.amplitudes, rows,
-                            mode=mode, with_field_energy=True).field_energy
+        return evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
+                            step_major_copy(rows), mode=mode,
+                            with_field_energy=True).field_energy
 
     assert np.array_equal(run(draws[100:237]), run(draws)[100:237])
