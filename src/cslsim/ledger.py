@@ -127,21 +127,33 @@ def observable_drift(q: HermitianOperator, scenario: Scenario,
     the plain expectation.
 
     Evaluated as Tr(q(t) [A,[A,rho(t)]]) in the eigenbasis of H, where
-    q(t)_mn = q_mn exp(-i(E_m - E_n)t/hbar): the double commutators of
-    the whole series are batched products, and one contraction reads
-    every time at once.
+    q(t)_mn = q_mn exp(-i(E_m - E_n)t/hbar).  The map taking rho to the
+    terms q_mn (V^dag [A,[A,rho]] V)_nm, V the eigenvectors of H, is
+    linear and fixed, so it is built once as a d^2 x d^2 matrix (row
+    (n, m) of each of its three Kronecker terms reads the (n, m) entry of
+    a sandwich V^dag X rho Y V).  One (T x d^2)(d^2 x d^2) product then
+    gives every term at every time, and the trace is their
+    phase-weighted row sum.
     """
     if series.rhos is None:
         raise ValueError("observable drift needs a dense series")
     a = scenario.collapse_op.matrix
     spec = scenario.hamiltonian.spectrum()
     v = spec.eigenvectors
-    rhos = series.rhos
+    vh = v.conj().T
     a2 = a @ a
-    dc_eig = v.conj().T @ (a2 @ rhos + rhos @ a2 - 2.0 * (a @ rhos @ a)) @ v
-    q_eig = v.conj().T @ q.matrix @ v
-    omega = np.subtract.outer(spec.eigenvalues, spec.eigenvalues) / scenario.params.hbar
-    phases = np.exp(-1j * series.times[:, None, None] * omega)
-    trace = np.einsum("mn,tmn,tnm->t", q_eig, phases, dc_eig)
+    # (V^dag X rho Y V)_nm = sum_kl (V^dag X)_nk rho_kl (Y V)_lm: row (n, m),
+    # column (k, l) of kron(V^dag X, (Y V)^T).
+    sandwich = (np.kron(vh @ a2, v.T) + np.kron(vh, (a2 @ v).T)
+                - 2.0 * np.kron(vh @ a, (a @ v).T))
+    q_eig = vh @ q.matrix @ v
+    # Row (n, m) pairs with q_mn, the transpose's (n, m) entry, and with the
+    # phase exp(-i(E_m - E_n)t/hbar) = u_n u_m*, u = exp(iEt/hbar): T x d
+    # exponentials rather than T x d^2.
+    kernel = q_eig.T.reshape(-1, 1) * sandwich
+    t = series.times
+    u = np.exp(1j * np.outer(t, spec.eigenvalues / scenario.params.hbar))
+    phases = (u[:, :, None] * u.conj()[:, None, :]).reshape(t.size, -1)
+    terms = series.rhos.reshape(t.size, -1) @ kernel.T
+    trace = np.einsum("tj,tj->t", phases, terms)
     return -0.5 * scenario.params.lam * trace.real
-

@@ -12,12 +12,18 @@ under domain doubling.  Everything here uses hbar = 1.
 
 The momentum -> position transform is exactly unitary on the grid
 (dx * dp * n = 2 pi), so norms can be checked in either representation.
+Every position-space reader here needs only |Phi(x)|^2, so the package
+never forms Phi(x) itself: the transform's unimodular p_min phase drops
+out, and one inverse FFT gives the density.  A branch pair keeps its
+joint product phi2*(p) phi1(p) on its nonzero support, which is empty
+for disjoint windows, so their residuals cost nothing per shift and
+are exactly zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,6 +84,10 @@ class MomentumGrid:
         n = self.n_points
         if n < 256 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 256, got {n}")
+        if not math.isfinite(self.p_min):
+            raise ValueError(f"p_min must be finite, got {self.p_min}")
+        if not math.isfinite(self.p_max):
+            raise ValueError(f"p_max must be finite, got {self.p_max}")
         if not (self.p_max > self.p_min):
             raise ValueError("p_max must exceed p_min")
 
@@ -118,9 +128,19 @@ class MomentumState:
         phi.flags.writeable = False
         object.__setattr__(self, "phi_p", phi)
 
-    def position_wavefunction(self) -> np.ndarray:
-        """Phi(x) on the dual grid, unitary transform of phi_p."""
-        return to_position(self.grid, self.phi_p)
+    def position_density(self) -> np.ndarray:
+        """|Phi(x)|^2 on the dual grid, Phi the unitary transform of phi_p.
+
+        Phi(x_j) = dp / sqrt(2 pi) * sum_i phi(p_i) exp(i p_i x_j).  With
+        p_i = p_min + i dp and x_j = (j - n/2) dx this is
+        exp(i p_min x_j) times an unnormalized inverse DFT read at index
+        j - n/2: the phase has unit modulus, and the index shift is a
+        half rotation of the output.
+        """
+        core = np.fft.ifft(self.phi_p, norm="forward")
+        dens = np.fft.fftshift(core.real**2 + core.imag**2)
+        dens *= self.grid.dp**2 / (2.0 * math.pi)
+        return dens
 
     def overlap(self, other: "MomentumState") -> complex:
         _same_grid(self, other)
@@ -128,21 +148,8 @@ class MomentumState:
 
     def position_moment(self, k: int) -> float:
         """<x^k> over the (finite) position domain."""
-        psi = self.position_wavefunction()
-        dens = (psi.real**2 + psi.imag**2) * self.grid.dx
-        return float(np.sum(dens * self.grid.positions**k))
-
-
-def to_position(grid: MomentumGrid, phi_p: np.ndarray) -> np.ndarray:
-    """Unitary momentum -> position transform on the dual grids.
-
-    Phi(x_j) = dp / sqrt(2 pi) * sum_i phi(p_i) exp(i p_i x_j), evaluated
-    by FFT after splitting off the p_min and half-domain phases.
-    """
-    n = grid.n_points
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    core = n * np.fft.ifft(phi_p * signs)
-    return (grid.dp / math.sqrt(2.0 * math.pi)) * np.exp(1j * grid.p_min * grid.positions) * core
+        dens = self.position_density()
+        return float(np.sum(dens * self.grid.positions**k) * self.grid.dx)
 
 
 def _same_grid(a: MomentumState, b: MomentumState) -> None:
@@ -161,9 +168,9 @@ def build_window_state(grid: MomentumGrid, p1: float, p2: float, n: int,
                        b: float = 0.0) -> MomentumState:
     """Windowed polynomial state: (p2-p)^n (p-p1)^n e^{-ipb} inside [p1, p2].
 
-    Exactly zero outside the window.  The zeros of order ``n`` at the
-    window edges control the position-space tail: the envelope falls off
-    as |x|^{-(n+1)}.
+    Exactly zero outside the window, where the carrier phase is not
+    evaluated.  The zeros of order ``n`` at the window edges control the
+    position-space tail: the envelope falls off as |x|^{-(n+1)}.
     """
     if not (grid.p_min < p1 < p2 < grid.p_max):
         raise ValueError(f"window [{p1}, {p2}] must lie inside "
@@ -172,9 +179,9 @@ def build_window_state(grid: MomentumGrid, p1: float, p2: float, n: int,
         raise ValueError("the edge-zero order n must be >= 0")
     p = grid.momenta
     inside = (p >= p1) & (p <= p2)
+    p_in = p[inside]
     phi = np.zeros(grid.n_points, dtype=np.complex128)
-    phi[inside] = ((p2 - p[inside]) ** n) * ((p[inside] - p1) ** n)
-    phi *= np.exp(-1j * p * b)
+    phi[inside] = ((p2 - p_in) ** n) * ((p_in - p1) ** n) * np.exp(-1j * p_in * b)
     return MomentumState(grid, _normalized(grid, phi))
 
 
@@ -189,20 +196,35 @@ def gaussian_state(grid: MomentumGrid, sigma_x: float, x0: float = 0.0) -> Momen
 
 @dataclass(frozen=True)
 class Superposition:
-    """Two-branch superposition with orthogonal, normalized branches."""
+    """Two-branch superposition with orthogonal, normalized branches.
+
+    Construction forms the joint product phi2*(p) phi1(p) once, which
+    gives the orthogonality check its overlap, and keeps its nonzero
+    entries with their momenta for :func:`collapse_residual`.  For
+    branches with disjoint momentum supports both are empty.
+    """
 
     alpha1: complex
     alpha2: complex
     phi1: MomentumState
     phi2: MomentumState
+    _joint_p: np.ndarray = field(init=False, repr=False, compare=False)
+    _joint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _same_grid(self.phi1, self.phi2)
         total = abs(self.alpha1) ** 2 + abs(self.alpha2) ** 2
         if abs(total - 1.0) > ALGEBRA:
             raise ValueError(f"|alpha1|^2 + |alpha2|^2 = {total!r}, must be 1")
-        if abs(self.phi1.overlap(self.phi2)) > ORTHO_TOL:
+        grid = self.phi1.grid
+        joint = self.phi2.phi_p.conj() * self.phi1.phi_p
+        support = np.flatnonzero(joint)
+        joint = joint[support]
+        # <phi1|phi2> is the conjugate of sum(joint) dp; only its modulus counts.
+        if abs(complex(np.sum(joint))) * grid.dp > ORTHO_TOL:
             raise ValueError("branches are not orthogonal; use make_superposition")
+        object.__setattr__(self, "_joint_p", grid.momenta[support])
+        object.__setattr__(self, "_joint", joint)
 
 
 def make_superposition(alpha1: complex, alpha2: complex,
@@ -250,21 +272,23 @@ def collapse_residual(sup: Superposition, kind: str, value: float,
 
     ``kind`` selects the generator: "momentum" for exp(i b P) with
     ``value`` = b, "energy" for exp(i a P^2/2M) with ``value`` = a.
-    The generator g(p) is diagonal on the momentum grid, so with
-    x = phi2*(p) phi1(p) the two elements are sum g x dp and
-    sum g x* dp: one exponential and one product serve both.
+    The generator g(p) is diagonal on the momentum grid, so with the
+    joint product x = phi2*(p) phi1(p) the two elements are sum g x dp
+    and sum g x* dp.  Both sums run over the support of x, which the
+    superposition holds: g is evaluated there only, and for disjoint
+    branches the support is empty and the residual exactly 0.0.
     """
-    grid = sup.phi1.grid
-    p = grid.momenta
+    p = sup._joint_p
     if kind == "momentum":
         g = np.exp(1j * value * p)
     elif kind == "energy":
         g = np.exp(1j * value * p * p / (2.0 * mass))
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    x = sup.phi2.phi_p.conj() * sup.phi1.phi_p
-    m21 = complex(np.dot(g, x) * grid.dp)   # <phi2|G|phi1>
-    m12 = complex(np.vdot(x, g) * grid.dp)  # <phi1|G|phi2>
+    x = sup._joint
+    dp = sup.phi1.grid.dp
+    m21 = complex(np.dot(g, x) * dp)   # <phi2|G|phi1>
+    m12 = complex(np.vdot(x, g) * dp)  # <phi1|G|phi2>
     cross = (sup.alpha1.conjugate() * sup.alpha2 * m12
              + sup.alpha2.conjugate() * sup.alpha1 * m21)
     return abs(cross)
@@ -292,13 +316,12 @@ def tail_fit(phi: MomentumState) -> TailFit:
     local slope steepens strongly outward or the envelope falls below
     ``RELATIVE_FLOOR`` times the peak of |Phi|.
     """
-    psi = phi.position_wavefunction()
+    dens = phi.position_density()
     x = phi.grid.positions
     absx = np.abs(x)
     x_max = absx.max()
     lo, hi = TAIL_FIT_INNER * x_max, TAIL_FIT_OUTER * x_max
     edges = np.geomspace(lo, hi, TAIL_FIT_BINS + 1)
-    mags = np.abs(psi)
 
     centers = []
     env = []
@@ -306,14 +329,16 @@ def tail_fit(phi: MomentumState) -> TailFit:
         mask = (absx >= edges[i]) & (absx < edges[i + 1])
         if not mask.any():
             continue
-        env.append(mags[mask].max())
+        env.append(dens[mask].max())
         centers.append(math.sqrt(edges[i] * edges[i + 1]))
-    env = np.array(env)
+    # The square root is monotone: the largest |Phi| is the root of the
+    # largest density, so only the bin maxima are rooted.
+    env = np.sqrt(np.array(env))
     centers = np.array(centers)
     if env.size < 6:
         raise NumericalFailure(
             f"tail fit needs more resolution: only {env.size} usable bins")
-    if env.min() < RELATIVE_FLOOR * float(mags.max()):
+    if env.min() < RELATIVE_FLOOR * math.sqrt(float(dens.max())):
         return TailFit(exponent=math.inf, is_polynomial=False,
                        slope_inner=-math.inf, slope_outer=-math.inf)
 
@@ -371,7 +396,8 @@ def moment_divergence_scan(builder: Callable[[MomentumGrid], MomentumState],
     values = []
     for _ in range(doublings + 1):
         state = builder(grid)
-        sizes.append(grid.positions.max() - grid.positions.min())
+        x = grid.positions
+        sizes.append(x[-1] - x[0])
         values.append(state.position_moment(k))
         grid = MomentumGrid(grid.n_points * 2, grid.p_min, grid.p_max)
     values = np.array(values)

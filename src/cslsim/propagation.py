@@ -89,10 +89,10 @@ class GridInfo:
     def __post_init__(self):
         if self.n_points < 2 or (self.n_points & (self.n_points - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 2, got {self.n_points}")
-        if not (self.dx > 0.0):
-            raise ValueError(f"dx must be positive, got {self.dx}")
-        if not (self.mass > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        if not (self.dx > 0.0) or not np.isfinite(self.dx):
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        if not (self.mass > 0.0) or not np.isfinite(self.mass):
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
     @property
     def positions(self) -> np.ndarray:

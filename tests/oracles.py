@@ -9,9 +9,12 @@ dense propagation kernel is checked against its earlier row-major form,
 kept here, and its forward-carried field-energy estimator against the
 reverse sweep over stored states that the kernel once ran.  The ledger's
 drift formula is checked against the rotating-frame expectation it
-differentiates.  Eigenvalue grouping is checked against its earlier
-loop, and the collapse residual against its two cross elements computed
-apart by the generating-function overlaps.
+differentiates, and its one-product route against the stacked double
+commutators it replaced.  Eigenvalue grouping is checked against its
+earlier loop, and the collapse residual against its two cross elements
+computed apart, over the whole grid, by the generating-function
+overlaps.  The position density is checked against the momentum ->
+position transform summed directly, at small n.
 
 The per-block noise stream, drawn whole in one call, is the reference
 that the ensemble's tiled draws over any range of trajectories match bit
@@ -19,7 +22,7 @@ for bit, and a field path of given values runs through the kernel as a
 one-row batch.
 
 The rest are oracles the package itself has no use for: the
-interaction-picture rotation, the inverse momentum transform, the
+interaction-picture rotation, the position -> momentum transform, the
 closed-form Gaussian translate overlap, the equal-phase symmetry scan,
 the distance of a state from its nearest collapse outcome, and the
 ensemble's density matrix from its kept final states.
@@ -73,8 +76,22 @@ def interaction_picture(a, h, t):
     return HermitianOperator(0.5 * (rotated + rotated.conj().T))
 
 
+def to_position(grid, phi_p):
+    """Phi(x_j) = dp / sqrt(2 pi) * sum_i phi(p_i) exp(i p_i x_j), the
+    unitary momentum -> position transform, as a direct n x n sum: keep
+    n small.  With p_i = p_min + i dp and x_j = (j - n/2) dx, p_i x_j is
+    p_min x_j plus 2 pi i (j - n/2) / n, whose turns are reduced mod n
+    over the integers, so the phases stay exact far out on the grid."""
+    n = grid.n_points
+    k = np.arange(n)
+    turns = np.outer(k - n // 2, k) % n
+    kernel = np.exp((2j * math.pi / n) * turns)
+    return ((grid.dp / math.sqrt(2.0 * math.pi)) * np.exp(1j * grid.p_min * grid.positions)
+            * (kernel @ phi_p))
+
+
 def to_momentum(grid, psi_x):
-    """Inverse of :func:`cslsim.postulate.to_position`."""
+    """Inverse of :func:`to_position`, by FFT."""
     n = grid.n_points
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     core = np.fft.fft(psi_x * np.exp(-1j * grid.p_min * grid.positions))
@@ -258,6 +275,24 @@ def rotating_expectation(q, scenario, series):
         q_rot = interaction_picture(q, h, -t / hbar)
         out[i] = float(np.einsum("ij,ji->", series.rhos[i], q_rot.matrix).real)
     return out
+
+
+def stacked_drift(q, scenario, series):
+    """The drift -(lam/2) Tr(q(t) [A,[A,rho(t)]]) as the ledger formed it
+    before its one-product route: the double commutators of the whole
+    series as stacked (T, d, d) products, rotated into the eigenbasis of
+    H, and contracted with q_mn exp(-i omega_mn t) by one einsum."""
+    a = scenario.collapse_op.matrix
+    spec = scenario.hamiltonian.spectrum()
+    v = spec.eigenvectors
+    rhos = series.rhos
+    a2 = a @ a
+    dc_eig = v.conj().T @ (a2 @ rhos + rhos @ a2 - 2.0 * (a @ rhos @ a)) @ v
+    q_eig = v.conj().T @ q.matrix @ v
+    omega = np.subtract.outer(spec.eigenvalues, spec.eigenvalues) / scenario.params.hbar
+    phases = np.exp(-1j * series.times[:, None, None] * omega)
+    trace = np.einsum("mn,tmn,tnm->t", q_eig, phases, dc_eig)
+    return -0.5 * scenario.params.lam * trace.real
 
 
 class RowMajorSpectral:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import interaction_picture, rotating_expectation
+from oracles import interaction_picture, rotating_expectation, stacked_drift
 
 from cslsim.ensemble import (DensityMatrix, grid_energy_channels, lindblad_propagate,
                              run_ensemble)
@@ -100,6 +100,27 @@ def test_drift_matches_the_interaction_picture_loop():
                                                    d.matrix).real)
         got = observable_drift(q, scenario, series)
         assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_dense(3101, dim=3, lam=0.4, t_end=2.0, steps=256),
+    lambda: random_dense(3102, dim=8, lam=0.7, t_end=2.0, steps=256),
+    lambda: qubit_dephasing(t_end=2.0, steps=256),
+    # H = 0: every omega vanishes and q = H gives an identically zero drift.
+    lambda: two_level_collapse(t_end=1.0, steps=128),
+], ids=["random_dense_d3", "random_dense_d8", "qubit_dephasing", "two_level_collapse"])
+def test_drift_matches_the_stacked_products(make):
+    """The one-product drift against the stacked double commutators it
+    replaced, for q = H and for a random q (which does not commute with
+    H unless H = 0)."""
+    scenario = make()
+    series = lindblad_propagate(DensityMatrix.from_state(scenario.psi0), scenario)
+    q_random = random_hermitian(np.random.default_rng(77), scenario.hamiltonian.dim)
+    for q in (scenario.hamiltonian, q_random):
+        want = stacked_drift(q, scenario, series)
+        got = observable_drift(q, scenario, series)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(want).max() > 0.0
 
 
 def test_free_particle_grid_heats_at_the_predicted_rate():

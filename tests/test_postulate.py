@@ -3,9 +3,10 @@
 Covers the unitary grid transforms, disjoint-support conservation of
 both generating functions, position-tail asymptotics of windowed
 states and moment divergence under domain growth, each against a
-closed form or an exact identity.  The inverse transform, the Gaussian
+closed form or an exact identity.  Both transforms, the Gaussian
 translate overlap, the equal-phase symmetry scan and the generating-
-function overlaps are test oracles (``tests/oracles.py``).
+function overlaps are test oracles (``tests/oracles.py``); the
+momentum -> position one is a direct sum, so it runs at small n.
 """
 
 import math
@@ -14,17 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (collapse_residual_pair, equal_phase_symmetry, gaussian_translate_overlap,
-                     generating_overlap_E, generating_overlap_P, to_momentum)
+                     generating_overlap_E, generating_overlap_P, to_momentum, to_position)
 
 from cslsim import postulate
 from cslsim.errors import NumericalFailure
 from cslsim.postulate import (MomentumGrid, MomentumState, Superposition,
                               build_window_state, collapse_residual,
                               eq1_residual, gaussian_state, make_superposition,
-                              moment_divergence_scan, tail_exponent, tail_fit,
-                              to_position)
+                              moment_divergence_scan, tail_exponent, tail_fit)
 
 GRID = MomentumGrid(4096, -8.0, 8.0)
+# Small enough for the direct-sum transform, large enough for a tail fit.
+SMALL = MomentumGrid(1024, -8.0, 8.0)
 
 # Exact grid identities (unitarity, disjoint-support cancellations).
 EXACT = 1e-12
@@ -54,18 +56,61 @@ class TestMomentumGrid:
         with pytest.raises(ValueError):
             MomentumGrid(256, 1.0, -1.0)
 
+    def test_rejects_non_finite_p_min(self):
+        # Accepted, it would give dp = inf and dx = 0.
+        with pytest.raises(ValueError, match="p_min must be finite"):
+            MomentumGrid(4096, -math.inf, 8.0)
+
+    def test_rejects_non_finite_p_max(self):
+        with pytest.raises(ValueError, match="p_max must be finite"):
+            MomentumGrid(4096, -8.0, math.inf)
+
+
+def window_states(grid):
+    return [build_window_state(grid, -3.0, 3.0, n) for n in (0, 1, 3)] + [
+        build_window_state(grid, -1.0, 4.0, 2, b=0.7), random_momentum_state(grid, 5)]
+
 
 class TestTransforms:
     def test_round_trip_is_the_identity(self):
-        state = random_momentum_state(GRID, 7)
-        back = to_momentum(GRID, to_position(GRID, state.phi_p))
+        state = random_momentum_state(SMALL, 7)
+        back = to_momentum(SMALL, to_position(SMALL, state.phi_p))
         np.testing.assert_allclose(back, state.phi_p, atol=EXACT)
 
     def test_parseval(self):
         state = random_momentum_state(GRID, 8)
-        psi = state.position_wavefunction()
-        norm_x = float(np.sum(np.abs(psi) ** 2) * GRID.dx)
+        norm_x = float(np.sum(state.position_density()) * GRID.dx)
         assert norm_x == pytest.approx(1.0, abs=EXACT)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_position_density_is_the_direct_sum(self, index):
+        state = window_states(SMALL)[index]
+        psi = to_position(SMALL, state.phi_p)
+        want = psi.real**2 + psi.imag**2
+        got = state.position_density()
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_position_moments_are_the_direct_sum(self, index):
+        state = window_states(SMALL)[index]
+        psi = to_position(SMALL, state.phi_p)
+        dens = (psi.real**2 + psi.imag**2) * SMALL.dx
+        x = SMALL.positions
+        for k in (0, 2):
+            want = float(np.sum(dens * x**k))
+            assert state.position_moment(k) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_tail_fit_reads_the_direct_sum_density(self, order, monkeypatch):
+        state = build_window_state(SMALL, -3.0, 3.0, order)
+        got = tail_fit(state)
+        psi = to_position(SMALL, state.phi_p)
+        monkeypatch.setattr(MomentumState, "position_density",
+                            lambda self: psi.real**2 + psi.imag**2)
+        want = tail_fit(state)
+        assert got.is_polynomial == want.is_polynomial
+        for name in ("exponent", "slope_inner", "slope_outer"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13)
 
     def test_gaussian_position_spread(self):
         # phi ~ exp(-sigma^2 p^2) renders as |Phi|^2 ~ exp(-x^2 / 2 sigma^2).
@@ -80,6 +125,14 @@ class TestStateConstruction:
         p = GRID.momenta
         outside = (p < -3.0) | (p > 3.0)
         assert np.all(state.phi_p[outside] == 0.0)
+
+    def test_window_carrier_phase_matches_the_full_grid_formula(self):
+        p = GRID.momenta
+        p1, p2, n, b = -1.0, 4.0, 2, 0.7
+        phi = np.where((p >= p1) & (p <= p2), (p2 - p) ** n * (p - p1) ** n, 0.0)
+        phi = phi * np.exp(-1j * p * b)
+        phi /= math.sqrt(float(np.sum(phi.real**2 + phi.imag**2) * GRID.dp))
+        np.testing.assert_array_equal(build_window_state(GRID, p1, p2, n, b=b).phi_p, phi)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -134,10 +187,26 @@ class TestGeneratingFunctions:
         w2 = build_window_state(GRID, 2.0, 6.0, 0)
         assert eq1_residual(w1, w2) == 0.0
         sup = make_superposition(math.sqrt(0.5), math.sqrt(0.5), w1, w2)
-        for b in np.linspace(0.1, 5.0, 20):
-            assert collapse_residual(sup, "momentum", float(b)) <= 1e-14
-        for a in np.linspace(0.1, 5.0, 20):
-            assert collapse_residual(sup, "energy", float(a)) <= 1e-14
+        for kind in ("momentum", "energy"):
+            for value in np.linspace(0.1, 5.0, 20):
+                assert collapse_residual(sup, kind, float(value)) == 0.0
+                assert collapse_residual_pair(sup, kind, float(value)) == 0.0
+
+    @pytest.mark.parametrize("pair", ["overlapping_windows", "displaced_gaussians"])
+    def test_residual_scans_match_the_full_grid_sums(self, pair):
+        if pair == "overlapping_windows":
+            sup = make_superposition(0.6, 0.8, build_window_state(GRID, -4.0, 1.0, 1),
+                                     build_window_state(GRID, -1.0, 4.0, 0))
+        else:  # criterion 8's Gaussian pair
+            sup = make_superposition(math.sqrt(0.5), math.sqrt(0.5),
+                                     gaussian_state(GRID, 1.0, x0=-5.0),
+                                     gaussian_state(GRID, 1.0, x0=5.0))
+        for kind in ("momentum", "energy"):
+            values = np.linspace(0.05, 15.0, 60)
+            got = np.array([collapse_residual(sup, kind, v) for v in values])
+            want = np.array([collapse_residual_pair(sup, kind, v) for v in values])
+            assert want.max() > 1e-3
+            assert np.abs(got - want).max() <= 1e-14 * want.max()
 
     @pytest.mark.parametrize("kind", ["momentum", "energy"])
     def test_overlapping_windows_match_the_two_overlaps(self, kind):

@@ -9,6 +9,8 @@ an explicit transfer, then exp(+iH dt/2) built independently of the
 backend, then the plain position or eigenvalue average.
 """
 
+import math
+
 import numpy as np
 import pytest
 from oracles import RowMajorSpectral, row_major_evolve
@@ -18,7 +20,8 @@ from cslsim.ensemble import run_ensemble
 from cslsim.errors import NumericalFailure
 from cslsim.hilbert import HermitianOperator, StateVector
 from cslsim.noise import CollapseParams, TimeGrid, block_increments
-from cslsim.propagation import GridBackend, SpectralBackend, evolve_batch, make_backend
+from cslsim.propagation import (GridBackend, GridInfo, SpectralBackend, evolve_batch,
+                                make_backend)
 from cslsim.scenarios import (free_particle_grid, qubit_dephasing, random_dense,
                               two_level_collapse)
 from cslsim.trajectory import Scenario, evolve
@@ -416,3 +419,15 @@ def test_field_energy_of_a_row_does_not_depend_on_the_batch(kind, mode):
                             with_field_energy=True).field_energy
 
     assert np.array_equal(run(draws[100:237]), run(draws)[100:237])
+
+
+def test_grid_info_rejects_non_finite_dx():
+    # Accepted, every position would be -inf.
+    with pytest.raises(ValueError, match="dx must be positive and finite"):
+        GridInfo(1024, dx=math.inf)
+
+
+def test_grid_info_rejects_non_finite_mass():
+    # Accepted, the kinetic energy would vanish: a packet that never heats.
+    with pytest.raises(ValueError, match="mass must be positive and finite"):
+        GridInfo(1024, 0.25, mass=math.inf)
