@@ -120,6 +120,7 @@ def test_drift_matches_the_stacked_products(make):
         want = stacked_drift(q, scenario, series)
         got = observable_drift(q, scenario, series)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # The random q's drift, the last compared, is not identically zero.
     assert np.abs(want).max() > 0.0
 
 

@@ -57,7 +57,7 @@ class TestMomentumGrid:
             MomentumGrid(256, 1.0, -1.0)
 
     def test_rejects_non_finite_p_min(self):
-        # Accepted, it would give dp = inf and dx = 0.
+        # Otherwise dp would be inf and dx 0.
         with pytest.raises(ValueError, match="p_min must be finite"):
             MomentumGrid(4096, -math.inf, 8.0)
 

@@ -422,12 +422,12 @@ def test_field_energy_of_a_row_does_not_depend_on_the_batch(kind, mode):
 
 
 def test_grid_info_rejects_non_finite_dx():
-    # Accepted, every position would be -inf.
+    # Otherwise every position but x = 0 would be infinite, and x = 0 NaN.
     with pytest.raises(ValueError, match="dx must be positive and finite"):
         GridInfo(1024, dx=math.inf)
 
 
 def test_grid_info_rejects_non_finite_mass():
-    # Accepted, the kinetic energy would vanish: a packet that never heats.
+    # Otherwise the kinetic energy would vanish: a packet that never heats.
     with pytest.raises(ValueError, match="mass must be positive and finite"):
         GridInfo(1024, 0.25, mass=math.inf)
