@@ -221,7 +221,10 @@ def build_scenario(root: _Section, kind: str):
             raise ConfigError(params.key("sigma0"), "is too wide: its square "
                               "overflows floating point")
         x0 = params.number("x0", default=0.0)
-        ring = GridInfo(n_points=n_points, dx=dx).positions
+        try:
+            ring = GridInfo(n_points=n_points, dx=dx).positions
+        except ValueError as exc:
+            raise ConfigError(params.key("dx"), str(exc))
         if not ring[0] <= x0 <= ring[-1]:
             raise ConfigError(params.key("x0"),
                               f"must lie on the ring, in [{ring[0]:g}, {ring[-1]:g}]")

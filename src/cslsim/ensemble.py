@@ -226,9 +226,8 @@ def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, buffe
     into the front of the flat float64 ``buffer``, and write their results
     into rows ``lo:hi`` of the run's per-trajectory arrays ``rows``
     (survived, weight, outcome group, interaction term, field-energy term
-    or None, kept state or None) and, when series are recorded, the chunk
-    sums of the weight wt at each time, of wt <A> and of wt <H> into its
-    slot ``series``.
+    or None, kept state or None); the kernel adds the chunk's series sums
+    into its slot ``series``, when given, as it steps.
     ``group_starts`` holds the first coupling index of each outcome group.
     A failed row gets weight 0 and interaction and field-energy terms 0."""
     ok, weights, group, v, f, states = (None if a is None else a[lo:hi] for a in rows)
@@ -236,8 +235,7 @@ def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, buffe
     params = scenario.params
     draws = block_increments(grid, params, master_seed, lo, hi, out=buffer)
     batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
-                         mode=mode, record_series=series is not None,
-                         with_field_energy=f is not None)
+                         mode=mode, series=series, with_field_energy=f is not None)
 
     ok[...] = ~batch.failed
     weights[...] = np.where(ok, np.exp(batch.log_red) if mode == "raw" else 1.0, 0.0)
@@ -249,19 +247,6 @@ def _run_chunk(backend, scenario, lo, hi, mode, master_seed, group_starts, buffe
         f[...] = np.where(ok, batch.field_energy, 0.0)
     if states is not None:
         states[...] = lab
-
-    if series is not None:
-        # The series are held step-major, (S+1, B) in memory, so each
-        # time's weighted sum over trajectories is one dot product along a
-        # contiguous row.  Raw weights overwrite the kernel's log-norm series.
-        if mode == "raw":
-            wt = np.exp(batch.log_red_series.T, out=batch.log_red_series.T)
-            wt[:, ~ok] = 0.0
-        else:
-            wt = ok.astype(float)
-        series[0] = wt.sum(axis=-1)
-        series[1] = np.vecdot(wt, batch.series_expA.T)
-        series[2] = np.vecdot(wt, batch.series_expH.T)
 
 
 def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
@@ -285,12 +270,15 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
         depend only on ``(master_seed, i)``, so results do not depend on
         ``threads``.
     record_series : bool
-        Accumulate weighted time series of <A> and <H>.
+        Accumulate weighted time series of <A> and <H>: at each time, the
+        weighted mean over the trajectories that have not failed by then.
+        A trajectory that fails at step j counts at the times before j.
     keep_final_states : bool
         Retain the normalized final states and their weights.
     with_field_energy : bool
         Carry each trajectory's field-energy estimator forward with its
-        state (raw mode; its mean over raw paths is the deterministic value).
+        state, weighted as the statistics are (1 on cooked paths); its mean
+        is the deterministic value in either mode.
     threads : int
         Worker threads for chunk fan-out.  While more than one worker
         runs (``threads > 1`` and more than one chunk), numpy's OpenBLAS
@@ -377,9 +365,8 @@ def run_ensemble(scenario: Scenario, n: int, mode: str, master_seed: int, *,
     times = mean_a_series = mean_h_series = None
     if record_series:
         times = scenario.grid.times
-        sum_wt, sum_wa, sum_wh = series.sum(axis=0)
-        mean_a_series = sum_wa / sum_wt
-        mean_h_series = sum_wh / sum_wt
+        sums = series.sum(axis=0)
+        mean_a_series, mean_h_series = sums[1:] / sums[0]
 
     final_states = final_weights = None
     if keep_final_states:

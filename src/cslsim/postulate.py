@@ -90,6 +90,9 @@ class MomentumGrid:
             raise ValueError(f"p_max must be finite, got {self.p_max}")
         if not (self.p_max > self.p_min):
             raise ValueError("p_max must exceed p_min")
+        if not (0.0 < self.dp < math.inf) or not math.isfinite(self.dx):
+            raise ValueError(f"p_max - p_min must give a positive finite spacing dp "
+                             f"and a finite dx = 2 pi / (n_points dp), got dp = {self.dp}")
 
     @property
     def dp(self) -> float:

@@ -18,7 +18,7 @@ the evolution cheap and stable:
   is <A> in the pre-step frame, <G c_k| W^dag A W |G c_k>, and W G = W^dag
   turns it into <c_k| W A W^dag |c_k>: the post-step <A> of step k.  One
   evaluation after each step therefore serves both the next drift and
-  the <A> series.
+  the ensemble's <A> series.
 
 A backend supplies the frame operations.  Its ``advance`` method maps a
 post-step state to the next pre-step state and returns the post-step <A>
@@ -54,9 +54,10 @@ is laid out (``backend.empty``).  ``SpectralBackend`` holds a batch of
 states as C-order (d, B), so each numpy call of a step runs one long
 loop over the trajectories instead of B loops of length d;
 ``GridBackend`` holds it as C-order (B, N), so every transform runs
-along a contiguous row.  Per-step arrays (field values, increments,
-log-norm and moment series) are held step-major, (S, B) in memory, so a
-step reads and writes one contiguous row.  Dense products are row-major
+along a contiguous row.  Per-step arrays (field values and increments)
+are held step-major, (S, B) in memory, so a step reads and writes one
+contiguous row; the moments are not kept per step at all, only summed
+over the batch as each step makes them.  Dense products are row-major
 BLAS calls on the trajectory-first view, written back into the
 backend's layout: the column-major product G c on the (d, B) memory
 would round the last columns of a batch differently with the batch
@@ -65,6 +66,7 @@ size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,8 +91,10 @@ class GridInfo:
     def __post_init__(self):
         if self.n_points < 2 or (self.n_points & (self.n_points - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 2, got {self.n_points}")
-        if not (self.dx > 0.0) or not np.isfinite(self.dx):
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        # The wavenumbers run to pi / dx, which must be finite too.
+        if not (0.0 < self.dx < math.inf) or not math.isfinite(math.pi / self.dx):
+            raise ValueError(f"dx must be positive and finite, and pi / dx finite, "
+                             f"got {self.dx}")
         if not (self.mass > 0.0) or not np.isfinite(self.mass):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
@@ -315,19 +319,17 @@ class BatchResult:
 
     States are kept normalized; ``log_red`` accumulates the log squared
     norm of the reduced propagator (the importance weight in raw mode).
-    ``log_red_series`` is recorded in raw mode only: cooked weights are 1.
     ``interaction`` is the terminal interaction functional
     w_T <A> - 2 lam <A^2> in the final state, unweighted, and
     ``field_energy`` the per-trajectory field-energy estimator
-    exp(log_red) Im <c_S|eta_S>, when asked for.
+    wt Im <c_S|eta_S> (wt the final weight, :func:`evolve_batch`).
 
     Shapes are trajectory-first; the memory orders are the kernel's.
     ``final_internal`` is in the backend's order (``backend.empty``):
     trajectory axis contiguous on the dense backend, grid axis contiguous
-    on the grid.  ``w`` and the series are transposed views of step-major
-    (S, B) and (S+1, B) arrays; ``w`` views the caller's ``draws`` when
-    they are step-major (always in cooked mode, which writes the field
-    values over them).
+    on the grid.  ``w`` is the transposed view of a step-major (S, B)
+    array; it views the caller's ``draws`` when they are step-major
+    (always in cooked mode, which writes the field values over them).
     """
 
     final_internal: np.ndarray          # (B, d) normalized
@@ -335,9 +337,6 @@ class BatchResult:
     w: np.ndarray                       # (B, S) realized field values
     failed: np.ndarray                  # (B,) bool
     interaction: np.ndarray             # (B,)
-    log_red_series: Optional[np.ndarray] = None   # (B, S+1), raw mode only
-    series_expA: Optional[np.ndarray] = None      # (B, S+1)
-    series_expH: Optional[np.ndarray] = None      # (B, S+1)
     field_energy: Optional[np.ndarray] = None     # (B,)
 
 
@@ -360,7 +359,7 @@ def _step_exponent(w_k: np.ndarray, a: np.ndarray, damp: np.ndarray, dt: float,
 
 
 def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarray,
-                 draws: np.ndarray, *, mode: str, record_series: bool = False,
+                 draws: np.ndarray, *, mode: str, series: Optional[np.ndarray] = None,
                  with_field_energy: bool = False) -> BatchResult:
     """Propagate a batch of trajectories sharing one scenario.
 
@@ -373,11 +372,13 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         themselves in raw mode
     mode : "cooked" (state-dependent drift 2 lam <A> added to ``draws``)
         or "raw" (``draws`` used verbatim)
-    record_series : record per-step coupling mean and <H>, and in raw mode
-        the log-norm series
+    series : optional (3, S+1) array; column k receives the sums over the
+        batch of wt, wt <A> and wt <H> at time t_k, wt being a row's weight
+        then: exp(log_red) in raw mode, 1 in cooked mode, and 0 from the
+        step at which the row fails on.
     with_field_energy : also carry the field-energy vector eta forward
-        beside the state and give the estimator in ``field_energy``; with
-        one step there is no field jump and the estimator is zero
+        beside the state and give the estimator, so weighted, in
+        ``field_energy``; with one step there is no field jump and it is zero
 
     ``draws`` may have any memory order; step k reads its column k, which
     is contiguous when it is the transposed view of a step-major (S, B)
@@ -394,12 +395,12 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     Each step applies the diagonal collapse factor to the pre-step state
     and then calls ``backend.advance`` once on the normalized post-step
     state c_k.  That call returns the state transferred to the next
-    frame together with the post-step <A>, which is both the <A> series
-    entry and, because W G = W^dag, the cooked drift of step k+1; <H>
-    comes from the same call when series are on.  On the grid backend
-    this is one forward FFT of c_k and two inverse ones per step.  The
-    first drift and the t = 0 series entries are the moments of
-    ``psi0`` itself.  The last step is not transferred:
+    frame together with the post-step <A>, which is both the term of the
+    <A> sum and, because W G = W^dag, the cooked drift of step k+1; <H>
+    comes from the same call when ``series`` is given.  On the grid
+    backend this is one forward FFT of c_k and two inverse ones per step.
+    The first drift and the t = 0 sums are the moments of ``psi0``
+    itself.  The last step is not transferred:
     ``final_internal`` is the post-step state that ``backend.read_out``
     expects.
 
@@ -448,14 +449,26 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
     eta = np.zeros_like(c) if with_field_energy else None
     coupled = None
 
-    log_series = np.zeros((s + 1, b)) if record_series and not cooked else None
-    if record_series:
-        exp_a = np.empty((s + 1, b))
-        exp_h = np.empty((s + 1, b))
-        exp_a[0] = mean_a
-        exp_h[0] = mean_h
-    else:
-        exp_a = exp_h = None
+    # Each row's weight at the current time (``series`` in the docstring).
+    wt = np.ones(b)
+    flagged = False
+
+    def weigh():
+        if not cooked:
+            np.exp(log_red, out=wt)
+        if flagged:
+            wt[failed] = 0.0
+        return wt
+
+    def add_sums(k, mean_a, mean_h):
+        # One contiguous copy of <A> and <H>: one dot product gives both sums.
+        moments[0], moments[1] = mean_a, mean_h
+        series[0, k] = weigh().sum()
+        series[1:, k] = np.vecdot(wt, moments)
+
+    if series is not None:
+        moments = np.empty((2, b))
+        add_sums(0, mean_a, mean_h)
 
     for k in range(1, s + 1):
         wk = w_steps[k - 1]
@@ -471,6 +484,7 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         if expo.max() > EXP_LIMIT / 2:
             bad = expo.max(axis=1) > EXP_LIMIT / 2
             failed |= bad
+            flagged = True
             expo[bad] = 0.0
         c *= np.exp(expo, out=expo)
         if eta is not None:
@@ -479,6 +493,7 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         dead = n2 == 0.0
         if dead.any():
             failed |= dead
+            flagged = True
             n2[dead] = 1.0
             c[dead] = 0.0
             c[dead, 0] = 1.0
@@ -491,15 +506,12 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
             if not last:
                 coupled = backend.transfer_coupling(c)
                 eta = backend.advance(eta, coupling=False)[0]
-        if record_series or not last:
+        if series is not None or not last:
             c, mean_a, mean_h = backend.advance(
-                c, transfer=not last, coupling=record_series or cooked,
-                energy=record_series)
-            if record_series:
-                if log_series is not None:
-                    log_series[k] = log_red
-                exp_a[k] = mean_a
-                exp_h[k] = mean_h
+                c, transfer=not last, coupling=series is not None or cooked,
+                energy=series is not None)
+            if series is not None:
+                add_sums(k, mean_a, mean_h)
 
     # The coupling is diagonal in the final internal frame, so both moments
     # of the interaction functional are direct sums: one dot product per
@@ -510,10 +522,7 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
 
     field_energy = None
     if eta is not None:
-        field_energy = np.exp(log_red) * np.vecdot(c, eta).imag
-
-    def rows(steps):
-        return None if steps is None else steps.T
+        field_energy = weigh() * np.vecdot(c, eta).imag
 
     return BatchResult(
         final_internal=c,
@@ -521,9 +530,6 @@ def evolve_batch(backend, grid: TimeGrid, params: CollapseParams, psi0: np.ndarr
         w=w_steps.T,
         failed=failed,
         interaction=interaction,
-        log_red_series=rows(log_series),
-        series_expA=rows(exp_a),
-        series_expH=rows(exp_h),
         field_energy=field_energy,
     )
 

@@ -6,8 +6,9 @@ that route against plain matrix products.  The grid split-step is
 checked against the two-axis form it had before it moved onto the ring,
 kept here, and its kappa-sectors are built from their definition.  The
 dense propagation kernel is checked against its earlier row-major form,
-kept here, and its forward-carried field-energy estimator against the
-reverse sweep over stored states that the kernel once ran.  The ledger's
+kept here with the per-row series the kernel no longer holds, and its
+forward-carried field-energy estimator against the reverse sweep over
+stored states that the kernel once ran.  The ledger's
 drift formula is checked against the rotating-frame expectation it
 differentiates, and its one-product route against the stacked double
 commutators it replaced.  Eigenvalue grouping is checked against its
@@ -50,15 +51,16 @@ def trajectory_increments(grid, params, master_seed, index):
     return block[index % 64] * np.sqrt(params.lam / grid.dt)
 
 
-def run_path(scenario, values, *, record_series=False, with_field_energy=False):
+def run_path(scenario, values, *, series=None, with_field_energy=False):
     """Run the field ``values`` verbatim (raw mode) as a one-row batch.
     Returns the batch result and the unnormalized lab-frame final state,
-    whose squared norm is the path's reduced-propagator weight."""
+    whose squared norm is the path's reduced-propagator weight.  A (3, S+1)
+    ``series`` receives the kernel's sums, which for one row are its weight
+    exp(log-norm) at each time and that weight times its <A> and <H>."""
     backend = make_backend(scenario, scenario.grid.dt)
     batch = evolve_batch(backend, scenario.grid, scenario.params,
                          scenario.psi0.amplitudes, np.array(values, dtype=float)[None, :],
-                         mode="raw", record_series=record_series,
-                         with_field_energy=with_field_energy)
+                         mode="raw", series=series, with_field_energy=with_field_energy)
     _, lab = backend.read_out(batch.final_internal)
     return batch, lab[0] * math.exp(0.5 * batch.log_red[0])
 
@@ -353,8 +355,13 @@ def row_major_evolve(backend, grid, params, psi0, *, mode, draws,
     """The row-major step loop: returns a dict of the BatchResult fields.
     ``draws`` are the increments (cooked) or the field values (raw).  The
     terminal interaction sums each row's populations by one dot product,
-    as the kernel does.  With ``with_field_energy`` it keeps the state of
-    every step and runs :func:`row_major_field_energy` over them."""
+    as the kernel does.  With ``record_series`` the dict also holds each
+    row's log-norm, <A> and <H> at every time, as (B, S+1) arrays
+    ``log_red_series``, ``series_expA`` and ``series_expH``, which
+    :func:`series_sums` reduces as the kernel does.  With
+    ``with_field_energy`` it keeps the state of every step and runs
+    :func:`row_major_field_energy` over them; the cooked estimator carries
+    weight 1, so the sweep's raw-weighted total is divided by exp(log_red)."""
     s, dt, lam = grid.steps, grid.dt, params.lam
     b = draws.shape[0]
     a = backend.coupling_values
@@ -397,23 +404,37 @@ def row_major_evolve(backend, grid, params, psi0, *, mode, draws,
     pops = c.real**2 + c.imag**2
     out = dict(final_internal=c, log_red=log_red, w=w_out,
                interaction=(w_out[:, -1] * np.vecdot(pops, a)
-                            - 2.0 * lam * np.vecdot(pops, a * a)),
-               log_red_series=log_series, series_expA=exp_a, series_expH=exp_h)
+                            - 2.0 * lam * np.vecdot(pops, a * a)))
+    if record_series:
+        out.update(log_red_series=log_series, series_expA=exp_a, series_expH=exp_h)
     if with_field_energy:
-        out["field_energy"] = row_major_field_energy(backend, grid, params, out, states)
-    # The kernel gives the log-norm series with the series, in raw mode only.
-    if not record_series or cooked:
-        out["log_red_series"] = None
+        total = row_major_field_energy(backend, grid, params, out, states, log_series)
+        out["field_energy"] = total / np.exp(log_red) if cooked else total
     return out
 
 
-def row_major_field_energy(backend, grid, params, out, states):
-    """The row-major reverse sweep over the fields of :func:`row_major_evolve`
-    and the (B, S+1, d) normalized ``states`` of every step."""
+def series_sums(out, mode):
+    """The (3, S+1) sums over the rows of :func:`row_major_evolve`'s
+    series of wt, wt <A> and wt <H> at each time, wt = exp(log-norm) in raw
+    mode and 1 in cooked mode (no row fails).  Each time's sums run along
+    one contiguous row of a step-major copy, as the kernel's do."""
+    a = np.ascontiguousarray(out["series_expA"].T)
+    h = np.ascontiguousarray(out["series_expH"].T)
+    if mode == "raw":
+        wt = np.ascontiguousarray(np.exp(out["log_red_series"]).T)
+    else:
+        wt = np.ones_like(a)
+    return np.stack([wt.sum(axis=1), np.vecdot(wt, a), np.vecdot(wt, h)])
+
+
+def row_major_field_energy(backend, grid, params, out, states, log_series):
+    """The row-major reverse sweep over the fields of :func:`row_major_evolve`,
+    the (B, S+1, d) normalized ``states`` of every step and the (B, S+1)
+    log-norms ``log_series``, weighted by exp(log_red) as a raw path is."""
     s, dt, lam = grid.steps, grid.dt, params.lam
     a = backend.coupling_values
     damp = lam * a * a
-    w, log_series = out["w"], out["log_red_series"]
+    w = out["w"]
     y = states[:, s, :].copy()
     log_y = out["log_red"].copy()
     total = np.zeros(y.shape[0])

@@ -297,6 +297,14 @@ class TestConfigRejection:
         }
         self.reject(tmp_path, capsys, doc, "params.sigma0", command="ledger")
 
+    def test_grid_spacing_whose_wavenumbers_overflow(self, tmp_path, capsys):
+        doc = {
+            "kind": "free_particle_grid",
+            "params": {"n_points": 256, "dx": 1e-320, "sigma0": 2.0, "lam": 0.01},
+            "grid": {"t_end": 1.0, "steps": 16},
+        }
+        self.reject(tmp_path, capsys, doc, "params.dx", command="ledger")
+
     def test_packet_whose_spread_squared_overflows(self, tmp_path, capsys):
         doc = {
             "kind": "free_particle_grid",

@@ -276,17 +276,19 @@ class TestEnsembleStatistics:
         np.testing.assert_allclose(stats.mean_hamiltonian, 0.0, atol=1e-12)
         assert stats.times.size == 51
 
-    def test_thread_count_does_not_change_any_bit(self):
+    @pytest.mark.parametrize("mode", ["cooked", "raw"])
+    def test_thread_count_does_not_change_any_bit(self, mode):
         # 5500 trajectories make chunks of 2730, 2730 and 40 at d = 24.
         scenario = random_dense(77, dim=24, lam=0.3, t_end=1.0, steps=128)
         assert spans_two_chunks_and_a_ragged_one(scenario, 5500)
-        one = run_ensemble(scenario, 5500, "cooked", 99, record_series=True,
+        one = run_ensemble(scenario, 5500, mode, 99, record_series=True,
                            threads=1)
-        four = run_ensemble(scenario, 5500, "cooked", 99, record_series=True,
+        four = run_ensemble(scenario, 5500, mode, 99, record_series=True,
                             threads=4)
         assert np.array_equal(one.outcome_frequencies, four.outcome_frequencies)
         assert np.array_equal(one.outcome_errors, four.outcome_errors)
         assert np.array_equal(one.mean_coupling, four.mean_coupling)
+        assert np.array_equal(one.mean_hamiltonian, four.mean_hamiltonian)
         assert one.interaction_mean == four.interaction_mean
         assert one.mean_weight == four.mean_weight
 
@@ -523,6 +525,23 @@ class TestChunksAndKeptStates:
             tracemalloc.stop()
         assert stats.n_success == 8192
         assert peak < 1.25 * threads * per_step
+
+    @pytest.mark.parametrize("mode", ["cooked", "raw"])
+    def test_a_series_run_holds_no_per_row_series(self, mode):
+        # One chunk of 4096 trajectories over 400 steps: the kernel sums
+        # each time's series as it steps, so the increments buffer is the
+        # only (S, B) array.  Per-row <A> and <H> series, and in raw mode a
+        # log-norm series, peaked at 3.13 and 4.08 buffers.
+        scenario = qubit_dephasing(t_end=2.0, steps=400)
+        per_step = scenario.grid.steps * ensemble._chunk_size(2) * 8
+        tracemalloc.start()
+        try:
+            stats = run_ensemble(scenario, 4096, mode, 5, record_series=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.n_success == 4096
+        assert peak < 1.25 * per_step
 
 
 @pytest.fixture

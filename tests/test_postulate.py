@@ -65,6 +65,12 @@ class TestMomentumGrid:
         with pytest.raises(ValueError, match="p_max must be finite"):
             MomentumGrid(4096, -8.0, math.inf)
 
+    def test_rejects_a_span_whose_spacing_overflows(self):
+        # Both ends are finite, but p_max - p_min overflows: dp would be
+        # inf and dx 0.
+        with pytest.raises(ValueError, match="positive finite spacing dp"):
+            MomentumGrid(4096, -1e308, 1e308)
+
 
 def window_states(grid):
     return [build_window_state(grid, -3.0, 3.0, n) for n in (0, 1, 3)] + [

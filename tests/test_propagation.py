@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import RowMajorSpectral, row_major_evolve
+from oracles import RowMajorSpectral, row_major_evolve, series_sums
 from scipy.linalg import expm
 
 from cslsim.ensemble import run_ensemble
@@ -31,8 +31,7 @@ DRIFT_MATCH = 1e-12
 # largest |value|.
 FIELD_ENERGY_MATCH = 1e-12
 
-BATCH_FIELDS = ("final_internal", "log_red", "w", "failed", "interaction",
-                "log_red_series", "series_expA", "series_expH", "field_energy")
+BATCH_FIELDS = ("final_internal", "log_red", "w", "failed", "interaction", "field_energy")
 
 
 def step_major_copy(draws):
@@ -60,7 +59,7 @@ def count_transforms(monkeypatch):
     return calls
 
 
-# (mode, record_series, with_field_energy, transforms per step, offset):
+# (mode, series, with_field_energy, transforms per step, offset):
 # entering the frame costs two transforms, and the last step transfers
 # nothing and, without series, needs no moments either.  A raw field-energy
 # step transfers the state and eta (two transforms each) and takes G A+ of
@@ -72,9 +71,9 @@ TRANSFORM_CASES = [
 ]
 
 
-@pytest.mark.parametrize("mode, record_series, with_field_energy, per_step, offset",
+@pytest.mark.parametrize("mode, series, with_field_energy, per_step, offset",
                          TRANSFORM_CASES)
-def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, mode, record_series,
+def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, mode, series,
                                                      with_field_energy, per_step, offset):
     scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05)
     dt = 1.0 / 32.0
@@ -86,7 +85,7 @@ def test_grid_kernel_costs_three_transforms_per_step(monkeypatch, mode, record_s
         calls[0] = 0
         evolve_batch(backend, TimeGrid(steps * dt, steps), scenario.params,
                      scenario.psi0.amplitudes, rng.standard_normal((5, steps)),
-                     mode=mode, record_series=record_series,
+                     mode=mode, series=np.empty((3, steps + 1)) if series else None,
                      with_field_energy=with_field_energy)
         counts.append(calls[0])
     assert counts[1] - counts[0] == per_step * 16
@@ -321,18 +320,18 @@ def test_field_values_give_the_same_bits_in_either_memory_order(kind):
     step_major = 2.0 * np.random.default_rng(5).standard_normal((grid.steps, 37))
 
     def run(draws):
+        sums = np.empty((3, grid.steps + 1))
         return evolve_batch(backend, grid, scenario.params, scenario.psi0.amplitudes,
-                            draws, mode="raw", record_series=True,
-                            with_field_energy=True)
+                            draws, mode="raw", series=sums, with_field_energy=True), sums
 
-    rows = run(np.ascontiguousarray(step_major.T))
-    steps = run(step_major.T)
+    rows, row_sums = run(np.ascontiguousarray(step_major.T))
+    steps, step_sums = run(step_major.T)
     for name in BATCH_FIELDS:
         assert np.array_equal(getattr(rows, name), getattr(steps, name)), name
-    # The layouts the kernel promises: step-major series, and states with
-    # the trajectory axis (dense) or the grid axis (grid) contiguous.
-    for series in (steps.w, steps.log_red_series, steps.series_expA, steps.series_expH):
-        assert series.T.flags.c_contiguous
+    assert np.array_equal(row_sums, step_sums)
+    # The layouts the kernel promises: step-major field values, and states
+    # with the trajectory axis (dense) or the grid axis (grid) contiguous.
+    assert steps.w.T.flags.c_contiguous
     contiguous = 0 if kind == "dense" else 1
     assert steps.final_internal.strides[contiguous] == steps.final_internal.itemsize
 
@@ -354,16 +353,16 @@ def test_dense_cooked_series_match_the_row_major_loop_bit_for_bit():
     draws = block_increments(grid, params, 9, 0, 300)
     # Taken first: the cooked kernel writes its field values over ``draws``.
     increments = np.ascontiguousarray(draws)
+    sums = np.empty((3, grid.steps + 1))
     got = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
-                       mode="cooked", record_series=True, with_field_energy=True)
+                       mode="cooked", series=sums, with_field_energy=True)
     want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes,
                             mode="cooked", draws=increments,
                             record_series=True, with_field_energy=True)
-    assert_field_energy_matches(got.field_energy, want.pop("field_energy"))
-    # Cooked weights are 1, so no log-norm series is recorded.
-    assert got.log_red_series is None and want.pop("log_red_series") is None
-    for name, value in want.items():
-        assert np.array_equal(getattr(got, name), value), name
+    assert_field_energy_matches(got.field_energy, want["field_energy"])
+    for name in ("final_internal", "log_red", "w", "interaction"):
+        assert np.array_equal(getattr(got, name), want[name]), name
+    assert np.array_equal(sums, series_sums(want, "cooked"))
     for ours, theirs in zip(backend.read_out(got.final_internal),
                             oracle.read_out(want["final_internal"])):
         assert np.array_equal(ours, theirs)
@@ -385,9 +384,100 @@ def test_dense_raw_field_energy_matches_the_row_major_sweep_bit_for_bit(master_s
     assert_field_energy_matches(got.field_energy, want["field_energy"])
     for name in ("final_internal", "log_red", "w", "interaction"):
         assert np.array_equal(getattr(got, name), want[name]), name
-    # The oracle's sweep needs the log-norm series; the kernel records it
-    # with the series only.
-    assert got.log_red_series is None
+
+
+@pytest.mark.parametrize("kind, mode", [("dense", "raw"), ("grid", "cooked")])
+def test_series_sums_are_the_per_row_series_weighted_and_reduced(kind, mode):
+    # The kernel's (3, S+1) sums against per-row series reduced time by time
+    # (oracles.series_sums), bit for bit; the dense cooked case is
+    # test_dense_cooked_series_match_the_row_major_loop_bit_for_bit.  The
+    # dense per-row series come from the row-major loop.  Grid rows do not
+    # depend on the batch, and at the cooked weight 1 a one-row batch's
+    # sums are its row's <A> and <H> exactly, so the grid's come from its
+    # rows run one at a time.
+    if kind == "dense":
+        scenario = random_dense(74, dim=8, lam=0.3, t_end=1.0, steps=32)
+    else:
+        scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                      t_end=0.5, steps=16)
+    grid, params = scenario.grid, scenario.params
+    backend = make_backend(scenario, grid.dt)
+    draws = block_increments(grid, params, 12, 0, 130)
+
+    def run(rows):
+        sums = np.empty((3, grid.steps + 1))
+        evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
+                     step_major_copy(rows), mode=mode, series=sums)
+        return sums
+
+    if kind == "dense":
+        oracle = RowMajorSpectral(scenario.hamiltonian, scenario.collapse_op, grid.dt,
+                                  params.hbar)
+        want = row_major_evolve(oracle, grid, params, scenario.psi0.amplitudes, mode=mode,
+                                draws=np.ascontiguousarray(draws), record_series=True)
+    else:
+        alone = np.array([run(draws[i:i + 1]) for i in range(draws.shape[0])])
+        want = dict(series_expA=alone[:, 1], series_expH=alone[:, 2])
+    assert np.array_equal(run(draws), series_sums(want, mode))
+
+
+@pytest.mark.parametrize("step", [3, 1], ids=["last-step", "inner-step"])
+def test_a_failed_row_counts_in_the_sums_before_it_fails_only(step):
+    # Two raw rows share the path w = 0 until row 1's exponent overflows at
+    # step ``step`` + 1, as in test_a_step_whose_squared_norm_overflows_is_flagged.
+    # The sums count it at the times before that step, where they are twice
+    # the calm row's alone, and not from that step on, where they are the
+    # calm row's.
+    scenario = two_level_collapse(t_end=1.0, steps=4)
+    grid, params = scenario.grid, scenario.params
+    backend = make_backend(scenario, grid.dt)
+    w = np.zeros((2, 4))
+    w[1, step] = 800.0 / grid.dt + params.lam
+
+    def run(rows):
+        sums = np.empty((3, 5))
+        batch = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, rows,
+                             mode="raw", series=sums)
+        return batch, sums
+
+    batch, both = run(w)
+    calm = run(w[:1])[1]
+    assert batch.failed.tolist() == [False, True]
+    np.testing.assert_allclose(both[:, :step + 1], 2.0 * calm[:, :step + 1],
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(both[:, step + 1:], calm[:, step + 1:],
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["dense", "grid"])
+def test_cooked_field_energy_is_the_unweighted_estimator_of_its_path(kind):
+    # Cooked paths are drawn from the physical measure, so their estimator
+    # carries weight 1: it is Im <c_S|eta_S>, which a raw run of the same
+    # realized field values gives times that run's weight exp(log_red).
+    if kind == "dense":
+        scenario = qubit_dephasing(omega=1.0, lam=0.2, t_end=1.0, steps=50)
+    else:
+        scenario = free_particle_grid(n_points=64, dx=0.5, sigma0=2.0, lam=0.05,
+                                      t_end=0.5, steps=16)
+    grid, params = scenario.grid, scenario.params
+    backend = make_backend(scenario, grid.dt)
+    draws = block_increments(grid, params, 17, 0, 200)
+    cooked = evolve_batch(backend, grid, params, scenario.psi0.amplitudes, draws,
+                          mode="cooked", with_field_energy=True)
+    raw = evolve_batch(backend, grid, params, scenario.psi0.amplitudes,
+                       step_major_copy(cooked.w), mode="raw", with_field_energy=True)
+    assert_field_energy_matches(cooked.field_energy,
+                                raw.field_energy * np.exp(-raw.log_red))
+
+
+def test_cooked_field_energy_estimates_the_deterministic_value():
+    # The driven qubit hands the field omega (1 - exp(-2 lam t_end)).  A
+    # cooked estimator weighted by exp(log_red) read 1.1668 +- 0.0529 here.
+    scenario = qubit_dephasing()
+    target = 1.0 - math.exp(-2.0 * scenario.params.lam * scenario.grid.t_end)
+    stats = run_ensemble(scenario, 40_000, "cooked", 707, with_field_energy=True,
+                         threads=2)
+    assert abs(stats.field_energy_mean - target) <= 5.0 * stats.field_energy_se
 
 
 def test_one_step_field_energy_is_zero_and_keeps_no_states():
@@ -425,6 +515,13 @@ def test_grid_info_rejects_non_finite_dx():
     # Otherwise every position but x = 0 would be infinite, and x = 0 NaN.
     with pytest.raises(ValueError, match="dx must be positive and finite"):
         GridInfo(1024, dx=math.inf)
+
+
+def test_grid_info_rejects_a_dx_whose_wavenumbers_overflow():
+    # dx is finite and positive, but pi / dx is not: the momenta would
+    # start [nan, inf, ...].
+    with pytest.raises(ValueError, match="pi / dx finite, got 1e-320"):
+        GridInfo(1024, dx=1e-320)
 
 
 def test_grid_info_rejects_non_finite_mass():

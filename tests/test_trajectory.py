@@ -70,9 +70,12 @@ class TestAgainstDenseReference:
         np.testing.assert_allclose(final, ref, atol=PATH_MATCH)
 
     def test_recorded_series_matches_reference_states(self):
+        # For one row the kernel's sums are its weight exp(log_red) and
+        # that weight times its <A> at each time.
         scenario = qubit_dephasing(lam=0.3, t_end=0.5, steps=20)
         values = trajectory_increments(scenario.grid, scenario.params, 7, 2)
-        batch, _ = run_path(scenario, values, record_series=True)
+        sums = np.empty((3, 21))
+        run_path(scenario, values, series=sums)
         states = naive_reduced_states(scenario, values)
         h = scenario.hamiltonian.matrix
         a = scenario.collapse_op.matrix
@@ -82,9 +85,8 @@ class TestAgainstDenseReference:
             lab = rot @ psi
             n2 = float(np.vdot(lab, lab).real)
             exp_a = float(np.vdot(lab, a @ lab).real) / n2
-            assert batch.series_expA[0, k] == pytest.approx(exp_a, abs=1e-10)
-            assert batch.log_red_series[0, k] == pytest.approx(math.log(n2),
-                                                               abs=1e-10)
+            assert sums[1, k] / sums[0, k] == pytest.approx(exp_a, abs=1e-10)
+            assert math.log(sums[0, k]) == pytest.approx(math.log(n2), abs=1e-10)
 
 
 class TestClosedForms:
@@ -242,14 +244,13 @@ def test_grid_and_dense_backends_agree():
         psi0=psi0, params=params, grid=grid)
     for index in range(4):
         values = trajectory_increments(grid, params, 15, index)
-        bg, fg = run_path(scenario_grid, values, record_series=True,
-                          with_field_energy=True)
-        bd, fd = run_path(scenario_dense, values, record_series=True,
-                          with_field_energy=True)
+        sg, sd = np.empty((3, 21)), np.empty((3, 21))
+        bg, fg = run_path(scenario_grid, values, series=sg, with_field_energy=True)
+        bd, fd = run_path(scenario_dense, values, series=sd, with_field_energy=True)
         assert math.exp(bg.log_red[0]) == pytest.approx(math.exp(bd.log_red[0]),
                                                         rel=1e-10)
         np.testing.assert_allclose(fg, fd, atol=1e-10)
-        np.testing.assert_allclose(bg.series_expA, bd.series_expA, atol=1e-10)
-        np.testing.assert_allclose(bg.series_expH, bd.series_expH, atol=1e-10)
+        # The path's <A> and <H> at every time: its sums over its weight.
+        np.testing.assert_allclose(sg[1:] / sg[0], sd[1:] / sd[0], atol=1e-10)
         assert bg.field_energy[0] == pytest.approx(bd.field_energy[0], rel=1e-10)
 
